@@ -84,10 +84,13 @@ from .obligations import scheme_of
 from .pipeline import Obligation, plan_property
 from .proofstore import (
     ProofStore,
+    Rendered,
     StoreEntry,
     dependency_digest,
     derivation_key,
     digest,
+    fingerprint,
+    fingerprint_with,
     obligation_key,
 )
 from .trace_tactics import (
@@ -116,13 +119,13 @@ class ProverOptions:
     term_cache: bool = True
     #: execute compiled proof plans: the per-kernel compiled symbolic
     #: step (closure form, reused across Verifier instances via
-    #: :mod:`repro.symbolic.compile`), the memoized obligation-key
-    #: table, the hot in-process result cache, and the solver's
-    #: prefix-batched fact construction.  Semantically invisible —
-    #: verdicts, derivations and obligation keys are bit-for-bit
-    #: identical with it off (``--no-compile`` on the CLI, asserted by
-    #: the compile differential tests) — so it does not shape
-    #: obligation keys.
+    #: :mod:`repro.symbolic.compile`), the hot in-process result cache,
+    #: and the solver's prefix-batched fact construction.  Semantically
+    #: invisible — verdicts, derivations and obligation keys are
+    #: bit-for-bit identical with it off (``--no-compile`` on the CLI,
+    #: asserted by the compile differential tests) — so it does not
+    #: shape obligation keys.  (The per-verification key table is not
+    #: an optimisation switch: it runs either way.)
     compile_plans: bool = True
     proof_store: Optional[str] = None
     #: parallel runs only: wall-clock budget per obligation task, in
@@ -170,6 +173,10 @@ class PropertyResult:
     #: obligation served by the persistent proof store), or
     #: "revalidated" (incremental reuse)
     source: str = "searched"
+    #: :meth:`derivation_key`'s last answer, with the proof it rendered
+    _derivation: Optional[Tuple[object, str]] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
     @property
     def proved(self) -> bool:
@@ -179,11 +186,17 @@ class PropertyResult:
         """Content address of the derivation (``None`` for failures).
 
         Identical across serial/parallel and cold/warm-store runs — the
-        differential tests assert exactly that.
+        differential tests assert exactly that.  Rendered once per
+        proof: a daemon verdict asks for it once per waiter and once
+        more for the degraded-answer cache.
         """
         if self.proof is None:
             return None
-        return derivation_key(self.proof)
+        memo = self._derivation
+        if memo is None or memo[0] is not self.proof:
+            memo = self._derivation = (self.proof,
+                                       derivation_key(self.proof))
+        return memo[1]
 
     def to_dict(self) -> dict:
         """JSON-ready form of the result."""
@@ -258,6 +271,135 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+#: A fragment slice: ``None`` for the base case (declarations + Init),
+#: an exchange key ``(ctype, msg)`` for one handler's inductive case.
+Part = Optional[Tuple[str, str]]
+
+
+class KeyTable:
+    """Every content address one verification uses, each computed once.
+
+    A :class:`Verifier` owns one table, so the table lives and dies with
+    one verification — one daemon submission.  A store-backed
+    verification needs a fragment key for every trace property × every
+    slice, in the fragment search and again for the invalidation index,
+    and each slice shares the declarations + Init text, so rendering per
+    key would make hashing the bulk of a daemon submit.  Here:
+
+    * the declarations, the Init block and each handler are rendered
+      once, and the program digest and every slice digest are built
+      from those texts (:func:`dependency_digest` stays the reference
+      definition of a slice digest: the same scope tuples, rendered
+      around :class:`~repro.prover.proofstore.Rendered` parts);
+    * each property is rendered once, however many keys name it;
+    * each obligation key and fragment key is computed once.
+
+    Every key is byte-identical to the uncached computation, so proof
+    stores written without the table stay valid.  Properties are
+    memoized by identity and kept alive by the table, so an ``id`` can
+    never be reused while it is in the table.
+    """
+
+    def __init__(self, program: object, options: object) -> None:
+        self.program = program
+        self.options = options
+        #: the program's fields rendered once, by field name, and each
+        #: handler's rendering (filled on first use)
+        self._fields: Dict[str, Rendered] = {}
+        self._handlers: Tuple[Rendered, ...] = ()
+        self._program_digest: Optional[str] = None
+        self._slices: Optional[Dict[Part, str]] = None
+        #: id(property) → (property, its rendering)
+        self._props: Dict[int, Tuple[Property, Rendered]] = {}
+        #: (id(property), part, is a fragment key) → key
+        self._keys: Dict[Tuple[int, Part, bool], str] = {}
+
+    def _rendered_fields(self) -> Dict[str, Rendered]:
+        """The program's declarations, Init block and handlers, each
+        rendered once."""
+        if not self._fields:
+            program = self.program
+            self._handlers = tuple(Rendered(fingerprint(handler))
+                                   for handler in program.handlers)
+            self._fields = {
+                "components": Rendered(fingerprint(program.components)),
+                "messages": Rendered(fingerprint(program.messages)),
+                "init": Rendered(fingerprint(program.init)),
+                "handlers": Rendered(fingerprint(self._handlers)),
+            }
+        return self._fields
+
+    def program_digest(self) -> str:
+        """Content digest of the whole program AST (``digest(program)``,
+        built from the rendered fields)."""
+        if self._program_digest is None:
+            self._program_digest = digest(Rendered(fingerprint_with(
+                self.program, self._rendered_fields(),
+            )))
+        return self._program_digest
+
+    def slice_digests(self) -> Dict[Part, str]:
+        """The dependency digest of every fragment slice: the base slice
+        under ``None``, then one entry per exchange of the kernel."""
+        if self._slices is None:
+            program = self.program
+            fields = self._rendered_fields()
+            shared = (program.name, fields["components"],
+                      fields["messages"], fields["init"])
+            handlers: Dict[Tuple[str, str], Rendered] = {}
+            for handler, text in zip(program.handlers, self._handlers):
+                handlers.setdefault(handler.key, text)  # handler_for's pick
+            slices: Dict[Part, str] = {
+                None: digest(("scope", "base") + shared),
+            }
+            for part in program.exchange_keys():
+                slices[part] = digest(("scope",) + part + shared
+                                      + (handlers.get(part),))
+            self._slices = slices
+        return self._slices
+
+    def _rendered(self, prop: Property) -> Rendered:
+        hit = self._props.get(id(prop))
+        if hit is None:
+            hit = self._props[id(prop)] = (prop, Rendered(fingerprint(prop)))
+        return hit[1]
+
+    def obligation_key(self, prop: Property, part: Part) -> str:
+        """The content address of one obligation of ``prop`` (see
+        :func:`~repro.prover.proofstore.obligation_key`)."""
+        memo = (id(prop), part, False)
+        key = self._keys.get(memo)
+        if key is None:
+            key = self._keys[memo] = obligation_key(
+                self.program_digest(), self._rendered(prop), self.options,
+                part,
+            )
+        return key
+
+    def fragment_key(self, prop: TraceProperty, part: Part) -> str:
+        """The content address of one trace-proof *fragment* (the base
+        case for ``part=None``, one exchange's inductive case
+        otherwise).  Scoped by the slice digest instead of the
+        whole-program digest, so editing one handler only re-keys the
+        fragments that syntactically depend on it.  Distinct from every
+        whole-obligation key: the ``part`` tag carries a ``trace-frag``
+        marker."""
+        memo = (id(prop), part, True)
+        key = self._keys.get(memo)
+        if key is None:
+            scope = self.slice_digests().get(part)
+            if scope is None:
+                # Not an exchange of this kernel (a step of an adopted
+                # proof): the reference definition still keys it.
+                scope = dependency_digest(self.program, part)
+            tag = ("trace-frag",) if part is None \
+                else ("trace-frag",) + tuple(part)
+            key = self._keys[memo] = obligation_key(
+                scope, self._rendered(prop), self.options, tag,
+            )
+        return key
+
+
 class Verifier:
     """Verifies the properties of one specified program."""
 
@@ -269,7 +411,8 @@ class Verifier:
         self._invariant_cache: Dict[InvariantSpec, InvariantProof] = {}
         self._bounded_cache: Dict[BoundedSpec, BoundedProof] = {}
         self._labeling_cache: Dict[str, Labeling] = {}
-        self._program_digest: Optional[str] = None
+        #: every content address this verification uses
+        self.keys = KeyTable(spec.program, self.options)
         self._plan: Optional[symcompile.CompiledPlan] = None
         #: set by the parallel worker initializer: workers serve hot
         #: results seeded from the shared arena even though they run
@@ -333,9 +476,7 @@ class Verifier:
     def program_digest(self) -> str:
         """Content digest of the program AST (computed once, shared by
         every obligation key)."""
-        if self._program_digest is None:
-            self._program_digest = digest(self.spec.program)
-        return self._program_digest
+        return self.keys.program_digest()
 
     def _invariant_prover(self, spec: InvariantSpec) -> InvariantProof:
         if self.options.cache_subproofs:
@@ -374,29 +515,12 @@ class Verifier:
 
     # -- pipeline: plan --------------------------------------------------------
 
-    def obligation_key_for(self, prop: Property,
-                           part: Optional[Tuple[str, str]]) -> str:
-        """The content address of one obligation, served from the
-        compiled plan's memo table when plans are enabled (the
-        fingerprint is the hot path of planning; the memoized value is
-        bit-for-bit the uncached one)."""
-        if self.options.compile_plans:
-            return self.compiled_plan().obligation_key_for(
-                prop, self.options.syntactic_skip, part,
-                lambda: obligation_key(
-                    self.program_digest(), prop, self.options, part
-                ),
-            )
-        return obligation_key(
-            self.program_digest(), prop, self.options, part
-        )
-
     def plan(self, prop: Property) -> Tuple[Obligation, ...]:
         """Pipeline stage one: the obligations of ``prop``, each with its
         content-addressed key."""
         return plan_property(
-            self.spec.program, prop, self.options, self.program_digest(),
-            key_for=lambda part: self.obligation_key_for(prop, part),
+            self.spec.program, prop, self.options,
+            key_for=lambda part: self.keys.obligation_key(prop, part),
         )
 
     def ni_labeling(self, prop: NonInterference) -> Labeling:
@@ -445,7 +569,7 @@ class Verifier:
                        part: Optional[Tuple[str, str]], kind: str,
                        where: str) -> Tuple[object, bool]:
         """The uninstrumented body of :meth:`ni_part`."""
-        key = self.obligation_key_for(prop, part)
+        key = self.keys.obligation_key(prop, part)
         if self._store is not None:
             entry = self._store.get(key)
             if (entry is not None and entry.kind == kind
@@ -571,38 +695,19 @@ class Verifier:
 
     # -- fragment-grained trace search -----------------------------------------
 
-    def _fragment_key(self, prop: TraceProperty,
-                      part: Optional[Tuple[str, str]]) -> str:
-        """The content address of one trace-proof *fragment* (the base
-        case for ``part=None``, one exchange's inductive case
-        otherwise).  Scoped by :func:`dependency_digest` instead of the
-        whole-program digest, so editing one handler only re-keys the
-        fragments that syntactically depend on it.  Distinct from every
-        whole-obligation key: the ``part`` tag carries a ``trace-frag``
-        marker."""
-        tag = ("trace-frag",) if part is None \
-            else ("trace-frag",) + tuple(part)
-        return obligation_key(
-            dependency_digest(self.spec.program, part),
-            prop, self.options, tag,
-        )
-
-    def fragment_keys(self, prop: TraceProperty
-                      ) -> Dict[Optional[Tuple[str, str]], str]:
+    def fragment_keys(self, prop: TraceProperty) -> Dict[Part, str]:
         """Every fragment's dependency-scoped content address for
-        ``prop``: the base case under ``None`` plus one entry per
-        exchange of the kernel.
+        ``prop`` (see :meth:`KeyTable.fragment_key`): the base case
+        under ``None`` plus one entry per exchange of the kernel.
 
         Purely syntactic (no symbolic step is built), so callers — the
         incremental invalidation map, the serve daemon — can enumerate
         what an edit invalidates without paying for verification.
         """
-        out: Dict[Optional[Tuple[str, str]], str] = {
-            None: self._fragment_key(prop, None),
+        return {
+            part: self.keys.fragment_key(prop, part)
+            for part in self.keys.slice_digests()
         }
-        for part in self.spec.program.exchange_keys():
-            out[part] = self._fragment_key(prop, part)
-        return out
 
     def _search_trace(self, prop: TraceProperty) -> TracePropertyProof:
         """The search stage for a trace property.
@@ -635,7 +740,7 @@ class Verifier:
 
     def _fragment_base(self, tc, prop: TraceProperty, scheme,
                        step: GenericStep) -> BaseProof:
-        key = self._fragment_key(prop, None)
+        key = self.keys.fragment_key(prop, None)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-base"
                 and isinstance(entry.payload, BaseProof)):
@@ -650,7 +755,7 @@ class Verifier:
 
     def _fragment_exchange(self, tc, prop: TraceProperty, scheme,
                            step: GenericStep, ex) -> List[StepProof]:
-        key = self._fragment_key(prop, ex.key)
+        key = self.keys.fragment_key(prop, ex.key)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-step"
                 and isinstance(entry.payload, tuple)):
@@ -676,7 +781,7 @@ class Verifier:
         if self._store is None:
             return
         self._store.put(StoreEntry(
-            self._fragment_key(prop, None), "trace-base",
+            self.keys.fragment_key(prop, None), "trace-base",
             proof.base, True,
         ))
         by_exchange: Dict[Tuple[str, str], List[StepProof]] = {}
@@ -684,7 +789,7 @@ class Verifier:
             by_exchange.setdefault(sp.exchange_key, []).append(sp)
         for ex_key, parts in by_exchange.items():
             self._store.put(StoreEntry(
-                self._fragment_key(prop, ex_key), "trace-step",
+                self.keys.fragment_key(prop, ex_key), "trace-step",
                 tuple(parts), True,
             ))
 

@@ -34,17 +34,12 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..props.spec import Property, SpecifiedProgram, TraceProperty
 from .derivation import TracePropertyProof
-from .engine import PropertyResult, ProverOptions, Verifier
-from .proofstore import dependency_digest
-
-#: A fragment slice identifier: ``None`` for the base case (declarations
-#: + Init), an exchange key ``(ctype, msg)`` for one handler's slice.
-Part = Optional[Tuple[str, str]]
+from .engine import KeyTable, Part, PropertyResult, ProverOptions, Verifier
 
 
 def fragment_digests(program: object) -> Dict[Part, str]:
@@ -54,12 +49,11 @@ def fragment_digests(program: object) -> Dict[Part, str]:
     one per exchange of the kernel.  Two submissions that differ in one
     handler differ exactly in that handler's entry, which is what lets a
     session — or the serve daemon — decide *what changed* without
-    verifying anything.
+    verifying anything.  A verifier already holds these in its key
+    table (``verifier.keys.slice_digests()``); this computes them for a
+    bare program, the same way.
     """
-    out: Dict[Part, str] = {None: dependency_digest(program, None)}
-    for part in program.exchange_keys():
-        out[part] = dependency_digest(program, part)
-    return out
+    return KeyTable(program, None).slice_digests()
 
 
 def changed_parts(old: Dict[Part, str],
@@ -114,20 +108,32 @@ class InvalidationMap:
     def __init__(self,
                  max_digests: int = DEFAULT_MAX_TRACKED_DIGESTS) -> None:
         self._lock = threading.Lock()
-        self._keys: "OrderedDict[str, set]" = OrderedDict()
+        #: slice digest → the keys filed under it, packed: each key's raw
+        #: SHA-256 bytes, concatenated in filing order.  A daemon files a
+        #: few keys under each of thousands of digests; packed, they cost
+        #: under a third of a set of hex strings.
+        self._keys: "OrderedDict[str, bytes]" = OrderedDict()
         self.max_digests = max(1, int(max_digests))
         self.evicted = 0
 
     def record(self, fragment_digest: str, obligation_key: str) -> None:
-        """File ``obligation_key`` under the fragment slice digest it
-        depends on (refreshing that digest's eviction age)."""
+        """File ``obligation_key`` (a SHA-256 hex key) under the fragment
+        slice digest it depends on (refreshing that digest's eviction
+        age)."""
+        self._file(fragment_digest, (obligation_key,))
+
+    def _file(self, fragment_digest: str, keys: Iterable[str]) -> None:
+        """Add ``keys`` under one digest and make it the youngest;
+        evict the oldest digests past the bound."""
+        packed = [bytes.fromhex(key) for key in keys]
         with self._lock:
-            keys = self._keys.get(fragment_digest)
-            if keys is None:
-                keys = self._keys[fragment_digest] = set()
-            else:
-                self._keys.move_to_end(fragment_digest)
-            keys.add(obligation_key)
+            filed = self._keys.pop(fragment_digest, b"")
+            known = set(_unpack(filed))
+            for raw in packed:
+                if raw not in known:
+                    known.add(raw)
+                    filed += raw
+            self._keys[fragment_digest] = filed
             while len(self._keys) > self.max_digests:
                 self._keys.popitem(last=False)
                 self.evicted += 1
@@ -138,20 +144,24 @@ class InvalidationMap:
         with self._lock:
             self._keys.pop(fragment_digest, None)
 
-    def record_program(self, verifier: Verifier,
-                       digests: Optional[Dict[Part, str]] = None) -> None:
+    def record_program(self, verifier: Verifier) -> None:
         """File every trace-property fragment key of ``verifier``'s
-        program under its slice digest (one call per submission)."""
-        if digests is None:
-            digests = fragment_digests(verifier.spec.program)
-        for prop in verifier.spec.trace_properties():
-            for part, key in verifier.fragment_keys(prop).items():
-                self.record(digests[part], key)
+        program under its slice digest (one call per submission; both
+        come from the verifier's key table, so keys the verification
+        already computed are not computed again)."""
+        props = verifier.spec.trace_properties()
+        if not props:
+            return
+        table = verifier.keys
+        for part, digest_ in table.slice_digests().items():
+            self._file(digest_, [table.fragment_key(prop, part)
+                                 for prop in props])
 
     def keys_for(self, fragment_digest: str) -> FrozenSet[str]:
         """The obligation keys filed under one slice digest."""
         with self._lock:
-            return frozenset(self._keys.get(fragment_digest, ()))
+            filed = self._keys.get(fragment_digest, b"")
+        return frozenset(raw.hex() for raw in _unpack(filed))
 
     def invalidated_keys(self, old: Dict[Part, str],
                          new: Dict[Part, str]) -> FrozenSet[str]:
@@ -177,14 +187,28 @@ class InvalidationMap:
         with self._lock:
             return {
                 "digests": len(self._keys),
-                "keys": sum(len(keys) for keys in self._keys.values()),
+                "keys": self._count(),
                 "max_digests": self.max_digests,
                 "evicted": self.evicted,
             }
 
+    def _count(self) -> int:
+        return sum(len(filed) for filed in self._keys.values()) \
+            // _KEY_BYTES
+
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(keys) for keys in self._keys.values())
+            return self._count()
+
+
+#: Bytes of one packed key (see :class:`InvalidationMap`).
+_KEY_BYTES = 32
+
+
+def _unpack(filed: bytes) -> List[bytes]:
+    """The raw keys of one packed :class:`InvalidationMap` entry."""
+    return [filed[at:at + _KEY_BYTES]
+            for at in range(0, len(filed), _KEY_BYTES)]
 
 
 @dataclass
@@ -267,7 +291,7 @@ class IncrementalVerifier:
         fingerprint = _program_fingerprint(spec)
         unchanged_program = fingerprint == self._fingerprint
         report = IncrementalReport(spec.name, self._rounds)
-        digests = fragment_digests(spec.program)
+        digests = verifier.keys.slice_digests()
         if self._rounds > 1:
             report.changed = changed_parts(self._digests, digests)
             obs.incr("incremental.parts.changed", len(report.changed))
@@ -277,7 +301,7 @@ class IncrementalVerifier:
             report.entries.append(entry)
 
         if self.invalidation is not None:
-            self.invalidation.record_program(verifier, digests)
+            self.invalidation.record_program(verifier)
         self._digests = digests
         self._fingerprint = fingerprint
         self._previous = {

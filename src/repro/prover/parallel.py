@@ -212,7 +212,7 @@ def _execute(task: tuple) -> tuple:
         if _ARENA_RESULTS:
             # Ship a verdict summary instead of re-pickling the payload
             # when the parent's arena already holds the identical one.
-            key = _WORKER.obligation_key_for(prop, part)
+            key = _WORKER.keys.obligation_key(prop, part)
             hit = _ARENA_RESULTS.get(key)
             if hit is not None and hit[1] == payload:
                 return ("okref", key, from_store,

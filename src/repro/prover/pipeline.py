@@ -58,23 +58,18 @@ class Obligation:
 
 
 def plan_property(program: object, prop: Property, options: object,
-                  program_digest: Optional[str] = None,
                   key_for: Optional[
                       Callable[[Optional[Tuple[str, str]]], str]
                   ] = None) -> Tuple[Obligation, ...]:
     """Enumerate the obligations of ``prop`` against ``program``.
 
-    ``program_digest`` (the :func:`repro.prover.proofstore.digest` of the
-    program AST) may be passed in to avoid re-fingerprinting the program
-    for every property; it is computed on demand otherwise.  ``key_for``
-    may supply a memoized obligation-key computation (the compiled plan's
-    key table — see :mod:`repro.symbolic.compile`); it must return
+    ``key_for`` may supply a memoized obligation-key computation (the
+    verifier's :class:`~repro.prover.engine.KeyTable`); it must return
     exactly what :func:`~repro.prover.proofstore.obligation_key` would.
+    Without it every key is computed from the program's digest.
     """
     if key_for is None:
-        if program_digest is None:
-            program_digest = digest(program)
-        pd = program_digest
+        pd = digest(program)
 
         def key_for(part: Optional[Tuple[str, str]]) -> str:
             return obligation_key(pd, prop, options, part)

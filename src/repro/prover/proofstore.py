@@ -30,7 +30,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 
@@ -41,6 +41,20 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 # Canonical fingerprints
 # ---------------------------------------------------------------------------
+
+
+class Rendered(str):
+    """A value :func:`fingerprint` has already rendered.
+
+    It renders as itself, so a composite built around pre-rendered parts
+    fingerprints exactly like the composite of the original values: the
+    key table (:class:`repro.prover.engine.KeyTable`) renders a shared
+    slice or a property once and reuses the text in every key that
+    contains it.  No stored value is ever a ``Rendered``, so no existing
+    key moves.
+    """
+
+    __slots__ = ()
 
 
 def fingerprint(value: object) -> str:
@@ -55,17 +69,61 @@ def fingerprint(value: object) -> str:
     return "".join(parts)
 
 
+#: How a type renders, one marker per non-dataclass branch of
+#: :func:`_render`; a dataclass renders through its :class:`_Fields`.
+_LEAF, _RENDERED, _DICT, _SET, _TUPLE, _LIST = (object() for _ in range(6))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Fields:
+    """A dataclass type's rendering: ``Name(`` and its field names."""
+
+    opener: str
+    names: Tuple[str, ...]
+
+
+#: Each type's rendering, learned the first time a value of the type is
+#: rendered, so :func:`_render` does one dict lookup per node instead of
+#: asking :mod:`dataclasses` (``is_dataclass`` + ``fields``) at every one.
+_SHAPES: Dict[type, object] = {}
+
+
+def _shape_of(cls: type) -> object:
+    """The branch of :func:`_render` every value of type ``cls`` takes."""
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _Fields(
+            cls.__name__ + "(",
+            tuple(field_.name for field_ in dataclasses.fields(cls)),
+        )
+    if issubclass(cls, Rendered):
+        return _RENDERED
+    if issubclass(cls, dict):
+        return _DICT
+    if issubclass(cls, (set, frozenset)):
+        return _SET
+    if issubclass(cls, tuple):
+        return _TUPLE
+    if issubclass(cls, list):
+        return _LIST
+    return _LEAF
+
+
 def _render(value: object, emit: Callable[[str], None]) -> None:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        emit(type(value).__name__)
+    cls = type(value)
+    shape = _SHAPES.get(cls)
+    if shape is None:
+        shape = _SHAPES[cls] = _shape_of(cls)
+    if shape is _LEAF:
+        emit(repr(value))
+    elif shape is _TUPLE:
         emit("(")
-        for field_ in dataclasses.fields(value):
-            emit(field_.name)
-            emit("=")
-            _render(getattr(value, field_.name), emit)
+        for item in value:
+            _render(item, emit)
             emit(",")
         emit(")")
-    elif isinstance(value, dict):
+    elif shape is _RENDERED:
+        emit(value)
+    elif shape is _DICT:
         emit("{")
         for key in sorted(value, key=fingerprint):
             _render(key, emit)
@@ -73,26 +131,46 @@ def _render(value: object, emit: Callable[[str], None]) -> None:
             _render(value[key], emit)
             emit(",")
         emit("}")
-    elif isinstance(value, (set, frozenset)):
+    elif shape is _SET:
         emit("{")
         for item in sorted(fingerprint(member) for member in value):
             emit(item)
             emit(",")
         emit("}")
-    elif isinstance(value, tuple):
-        emit("(")
-        for item in value:
-            _render(item, emit)
-            emit(",")
-        emit(")")
-    elif isinstance(value, list):
+    elif shape is _LIST:
         emit("[")
         for item in value:
             _render(item, emit)
             emit(",")
         emit("]")
     else:
-        emit(repr(value))
+        emit(shape.opener)
+        for name in shape.names:
+            emit(name)
+            emit("=")
+            _render(getattr(value, name), emit)
+            emit(",")
+        emit(")")
+
+
+def fingerprint_with(value: object, given: Dict[str, str]) -> str:
+    """:func:`fingerprint` of the dataclass ``value``, taking each field
+    named in ``given`` as already rendered to that text (the key table
+    renders a program's declarations and handlers once, and builds the
+    program digest and every slice digest from them)."""
+    shape = _shape_of(type(value))
+    parts = [shape.opener]
+    for name in shape.names:
+        parts.append(name)
+        parts.append("=")
+        text = given.get(name)
+        if text is None:
+            _render(getattr(value, name), parts.append)
+        else:
+            parts.append(text)
+        parts.append(",")
+    parts.append(")")
+    return "".join(parts)
 
 
 def digest(value: object) -> str:

@@ -82,7 +82,8 @@ from ..prover.incremental import (
     InvalidationMap,
     Part,
     changed_parts,
-    fragment_digests,
+    # Re-exported: perfbench/layers.py times digest work by this name.
+    fragment_digests,  # noqa: F401
 )
 from ..prover.proofstore import ProofStore
 from .admission import (
@@ -432,6 +433,10 @@ class VerificationServer:
         self._submissions.put(None)  # wake the prover thread
         listener = self._listener
         if listener is not None:
+            # Closing alone does not wake a thread blocked in accept()
+            # on Linux; shutting the socket down does (TCP and UNIX).
+            with contextlib.suppress(OSError):
+                listener.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 listener.close()
 
@@ -814,7 +819,6 @@ class VerificationServer:
         if not self.breaker.allow():
             self._serve_degraded(spec, source, waiters, answered)
             return
-        digests = fragment_digests(spec.program)
         options = self.prover_options
         if deadline is not None:
             options = replace(options, deadline=deadline)
@@ -838,8 +842,12 @@ class VerificationServer:
             report = verifier.verify_all(
                 jobs=self.options.jobs if self.options.jobs > 1 else None
             )
+            # One key table per submission: the slice digests and keys
+            # the verification computed serve the session diff and the
+            # invalidation index too.
             program_digest = verifier.program_digest()
-            self.invalidation.record_program(verifier, digests)
+            digests = verifier.keys.slice_digests()
+            self.invalidation.record_program(verifier)
         wall = time.perf_counter() - started
         residue = residue_for(report)
         counters = dict(sink.counters)

@@ -2,15 +2,14 @@
 
 The interpretive pipeline re-walks handler ASTs once per
 :class:`~repro.prover.engine.Verifier` — every ``verify_all`` round pays
-the full symbolic evaluation of every handler again, plus the
-obligation-key fingerprinting storm, even when the program has not
-changed.  This module compiles each handler body once into a *step
-program* — a tree of closures with the per-node constant work (literal
-lifting, field-index resolution, name routing, pattern tests) lowered at
-compile time — and keys the resulting :class:`CompiledPlan` on the
-program's content digest in a process-wide cache, so repeated
-verification of the same kernel executes plans instead of interpreting
-ASTs.
+the full symbolic evaluation of every handler again, even when the
+program has not changed.  This module compiles each handler body once
+into a *step program* — a tree of closures with the per-node constant
+work (literal lifting, field-index resolution, name routing, pattern
+tests) lowered at compile time — and keys the resulting
+:class:`CompiledPlan` on the program's content digest in a
+process-wide cache, so repeated verification of the same kernel
+executes plans instead of interpreting ASTs.
 
 Equivalence contract: for every program, the compiled executor produces
 the *same terms in the same order* as :func:`repro.symbolic.seval.sym_exec`
@@ -27,7 +26,6 @@ consults on its hot path:
 * the built :class:`~repro.symbolic.behabs.GenericStep` (shared across
   ``Verifier`` instances and shipped to pool workers through the shared
   arena, see :mod:`repro.prover.shared`);
-* obligation keys, memoized per (property, options, part);
 * hot verdict payloads for already-discharged obligations, keyed by
   their content-addressed obligation key (successes only; the engine
   still replays the checker over served derivations).
@@ -444,9 +442,6 @@ class CompiledPlan:
 
     digest: str
     _step: Optional[object] = None
-    _keys: Dict[Tuple[int, bool, object], str] = field(default_factory=dict)
-    #: strong references pinning the ``id``-keyed properties in ``_keys``
-    _key_refs: List[object] = field(default_factory=list)
     _results: "OrderedDict[str, Tuple[str, object]]" = field(
         default_factory=OrderedDict
     )
@@ -477,27 +472,6 @@ class CompiledPlan:
         """Adopt a step built elsewhere (pool workers attach the parent's
         arena snapshot instead of re-building)."""
         self._step = step
-
-    def obligation_key_for(self, prop: object, syntactic_skip: bool,
-                           part: object,
-                           compute: Callable[[], str]) -> str:
-        """Memoized content-addressed obligation key.
-
-        Keys are memoized per (property identity, skip flag, part); the
-        property object is pinned so ``id`` reuse cannot alias.  The
-        computed key is byte-identical to an unmemoized computation — the
-        memo only skips the canonical-fingerprint render.
-        """
-        memo_key = (id(prop), syntactic_skip, part)
-        hit = self._keys.get(memo_key)
-        if hit is not None:
-            obs.incr("compile.key.hit")
-            return hit
-        obs.incr("compile.key.miss")
-        key = compute()
-        self._keys[memo_key] = key
-        self._key_refs.append(prop)
-        return key
 
     def cached_result(self, key: str) -> Optional[Tuple[str, object]]:
         """The hot verdict payload for an obligation key, if recorded."""

@@ -403,6 +403,36 @@ class TestSigtermDrain:
         # The drain flushed artifacts on the way out.
         assert stats_out.exists()
 
+    def test_sigterm_after_a_client_left_exits_promptly(self, tmp_path):
+        """The accept thread must wake on shutdown: the daemon used to
+        sit out a 10 s join on it before exiting."""
+        import signal as signal_mod
+
+        port_file = tmp_path / "addr"
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--port-file", str(port_file),
+             "--store", str(tmp_path / "store")],
+            env=cli_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.time() + 60
+            while not port_file.exists() and time.time() < deadline:
+                time.sleep(0.1)
+            host, port = port_file.read_text().strip().rsplit(":", 1)
+            with ServeClient((host, int(port)), timeout=60) as client:
+                assert client.ping()
+            started = time.monotonic()
+            daemon.send_signal(signal_mod.SIGTERM)
+            daemon.communicate(timeout=30)
+            assert time.monotonic() - started < 2.0
+            assert daemon.returncode == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=30)
+
 
 class TestObservabilityOverTheWire:
     """metrics/health frames and end-to-end tracing, over real sockets."""

@@ -5,6 +5,8 @@ derivation has been re-validated by the trusted checker against the *new*
 program's abstraction.
 """
 
+import hashlib
+
 import pytest
 
 from repro.frontend import parse_program
@@ -166,6 +168,11 @@ class TestFragmentInvalidation:
         assert all(r.source == "store" for r in cold.results)
 
 
+def _key(name):
+    """A stand-in obligation key: SHA-256 hex, like every real one."""
+    return hashlib.sha256(name.encode()).hexdigest()
+
+
 class TestInvalidationMapBound:
     """The shared invalidation index must not grow without bound in a
     long-lived daemon: least-recently-recorded digests evict past the
@@ -176,32 +183,34 @@ class TestInvalidationMapBound:
 
         imap = InvalidationMap(max_digests=8)
         for n in range(100):
-            imap.record(f"digest-{n}", f"key-{n}")
+            imap.record(f"digest-{n}", _key(f"key-{n}"))
         stats = imap.stats()
         assert stats["digests"] == 8
         assert stats["keys"] == 8
         assert stats["evicted"] == 92
         # The survivors are the youngest; evicted digests answer empty.
-        assert imap.keys_for("digest-99") == {"key-99"}
+        assert imap.keys_for("digest-99") == {_key("key-99")}
         assert imap.keys_for("digest-0") == frozenset()
 
     def test_rerecording_refreshes_eviction_age(self):
         from repro.prover.incremental import InvalidationMap
 
         imap = InvalidationMap(max_digests=4)
-        imap.record("live", "key-live")
+        imap.record("live", _key("key-live"))
         for n in range(10):
-            imap.record(f"churn-{n}", f"key-{n}")
-            imap.record("live", "key-live")  # a kernel still in use
-        assert imap.keys_for("live") == {"key-live"}
+            imap.record(f"churn-{n}", _key(f"key-{n}"))
+            imap.record("live", _key("key-live"))  # a kernel still in use
+        assert imap.keys_for("live") == {_key("key-live")}
 
     def test_discard_drops_a_superseded_digest(self):
         from repro.prover.incremental import InvalidationMap
 
         imap = InvalidationMap()
-        imap.record("old", "key-a")
-        imap.record("old", "key-b")
+        imap.record("old", _key("key-a"))
+        imap.record("old", _key("key-b"))
+        imap.record("old", _key("key-a"))  # filed once
         assert len(imap) == 2
+        assert imap.keys_for("old") == {_key("key-a"), _key("key-b")}
         imap.discard("old")
         assert imap.keys_for("old") == frozenset()
         assert len(imap) == 0

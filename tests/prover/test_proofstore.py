@@ -7,15 +7,17 @@ import pickle
 import subprocess
 import sys
 
+from repro.frontend import parse_program
 from repro.prover import (
     ProofStore,
     ProverOptions,
     StoreEntry,
     Verifier,
     fingerprint,
+    fragment_digests,
     obligation_key,
 )
-from repro.prover.proofstore import digest
+from repro.prover.proofstore import dependency_digest, digest
 from repro.systems import BENCHMARKS
 
 
@@ -106,6 +108,101 @@ class TestKeyStability:
         second = Verifier(spec).verify_all()
         assert [r.derivation_key() for r in first.results] == \
             [r.derivation_key() for r in second.results]
+
+
+#: A small kernel kept inline, so editing a builtin kernel cannot move
+#: the golden keys below.
+_PIN_SOURCE = """
+program pins {
+  components {
+    Sensor "sensor.c" {}
+    Alarm "alarm.c" {}
+  }
+  messages {
+    Trip();
+    Ring(string);
+  }
+  init {
+    tripped = false;
+    S <- spawn Sensor();
+    A <- spawn Alarm();
+  }
+  handlers {
+    Sensor => Trip() {
+      send(A, Ring("loud"));
+      tripped = true;
+    }
+  }
+  properties {
+    SensorQuiet:
+      NoInterference high [Sensor()] highvars [tripped];
+    RingOnTrip:
+      [Recv(Sensor(), Trip())] Ensures [Send(Alarm(), Ring("loud"))];
+  }
+}
+"""
+
+
+class TestGoldenKeys:
+    """Every key of the scheme, pinned as a literal.
+
+    A store written by one version must stay readable by the next, so
+    any drift in the key scheme (the renderer, the slice shapes, the
+    key material) must fail here rather than silently orphan every
+    existing proof store.  Changing one of these values on purpose
+    means bumping ``FORMAT_VERSION``.
+    """
+
+    PROGRAM = "aaeaf3b0b9d3e718513c28509fe9a0f4f3cca56a491ceb31ccb8a9c05774ef45"
+    BASE_SLICE = "b5592466f636906cc7a18e2ffa9fdd8e12c38a285071672f337920f0caaf7a92"
+    TRIP_SLICE = "d362b42723f5f0cffa40a82315652f0dc60e2cdc7a8873c89ac0c1417f11f383"
+    TRIP_FRAGMENT = "495e27d6842d87952230d817b071befeddf869c7f7ec9b42392b9deafc5ae247"
+    NI_TRIP = "6b6c9636a017c12d4488474ba11319c2fa838014ea6bacf15172a11b439ba019"
+    RING_ON_TRIP_DERIVATION = (
+        "7d4790defad79faec1a5985601778d8e400e349eac68426d5cc993ba9067a7f6"
+    )
+
+    @staticmethod
+    def _spec():
+        return parse_program(_PIN_SOURCE)
+
+    def test_program_digest(self):
+        spec = self._spec()
+        assert digest(spec.program) == self.PROGRAM
+        assert Verifier(spec).program_digest() == self.PROGRAM
+
+    def test_slice_digests(self):
+        spec = self._spec()
+        trip = ("Sensor", "Trip")
+        assert dependency_digest(spec.program, None) == self.BASE_SLICE
+        assert dependency_digest(spec.program, trip) == self.TRIP_SLICE
+        digests = fragment_digests(spec.program)
+        assert digests[None] == self.BASE_SLICE
+        assert digests[trip] == self.TRIP_SLICE
+
+    def test_trace_fragment_key(self):
+        spec = self._spec()
+        keys = Verifier(spec).fragment_keys(spec.property_named("RingOnTrip"))
+        assert keys[("Sensor", "Trip")] == self.TRIP_FRAGMENT
+
+    def test_ni_exchange_obligation_key(self):
+        spec = self._spec()
+        prop = spec.property_named("SensorQuiet")
+        keys = {ob.part: ob.key for ob in Verifier(spec).plan(prop)}
+        assert keys[("Sensor", "Trip")] == self.NI_TRIP
+        assert obligation_key(self.PROGRAM, prop, ProverOptions(),
+                              ("Sensor", "Trip")) == self.NI_TRIP
+
+    def test_derivation_key(self, tmp_path):
+        spec = self._spec()
+        prop = spec.property_named("RingOnTrip")
+        cold = Verifier(spec).prove_property(prop)
+        options = ProverOptions(proof_store=str(tmp_path))
+        stored = Verifier(spec, options).prove_property(prop)
+        warm = Verifier(spec, options).prove_property(prop)
+        assert warm.source == "store"
+        for result in (cold, stored, warm):
+            assert result.derivation_key() == self.RING_ON_TRIP_DERIVATION
 
 
 class TestStore:

@@ -297,6 +297,43 @@ class TestConnectionLifecycle:
             ours.close()
 
 
+class TestClose:
+    """``close()`` must not wait out the accept thread: closing a
+    listening socket does not wake a thread blocked in ``accept()`` on
+    Linux, so without an explicit wake-up every close took the full
+    10 s join timeout."""
+
+    @staticmethod
+    def _visit_then_close(server, connect):
+        server.start()
+        with connect() as client:
+            send_message(client, {"op": "ping"})
+            assert recv_message(client) == {"type": "ok", "op": "ping"}
+        started = time.monotonic()
+        server.close()
+        elapsed = time.monotonic() - started
+        assert not any(thread.is_alive() for thread in server._threads)
+        return elapsed
+
+    def test_tcp_close_is_prompt_after_a_client_left(self, tmp_path):
+        server = VerificationServer(ServeOptions(store=str(tmp_path / "ps")))
+        elapsed = self._visit_then_close(
+            server, lambda: socket.create_connection(server.address),
+        )
+        assert elapsed < 2.0
+
+    def test_unix_close_is_prompt_after_a_client_left(self, tmp_path):
+        path = str(tmp_path / "serve.sock")
+        server = VerificationServer(ServeOptions(socket_path=path))
+
+        def connect():
+            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            client.connect(path)
+            return client
+
+        assert self._visit_then_close(server, connect) < 2.0
+
+
 class TestSessionRegistry:
     def test_ids_are_unique_and_dropped_sessions_vanish(self):
         registry = SessionRegistry()
