@@ -3,49 +3,15 @@
 Not a paper figure, but the natural follow-up question to Figure 6: how
 does pushbutton verification scale as kernels grow?  Synthetic kernels
 with n request/response handler groups (each group: a guarded forward, a
-state latch, and a gated response — the SSH idiom) are verified with a
-representative property per group size.
+state latch, and a gated response — the SSH idiom; see
+``repro.systems.synthetic``) are verified with a representative property
+per group size.
 """
 
 import pytest
 
-from repro.lang import STR
-from repro.lang.builder import (
-    ProgramBuilder, assign, eq, ite, lit, name, send, spawn, tup,
-)
-from repro.props import TraceProperty, comp_pat, msg_pat, recv_pat, send_pat
-from repro.props.spec import specify
 from repro.prover import Verifier
-
-
-def synthetic_kernel(groups: int):
-    """A kernel with ``groups`` independent auth-style protocols."""
-    b = ProgramBuilder(f"scale{groups}")
-    b.component("Front", "front.py")
-    b.component("Back", "back.py")
-    b.message("Go", STR)  # pre-declare a shared message for realism
-    init_cmds = [spawn("F", "Front"), spawn("K", "Back")]
-    props = []
-    for g in range(groups):
-        b.message(f"Req{g}", STR)
-        b.message(f"Ok{g}", STR)
-        b.message(f"Use{g}", STR)
-        b.message(f"Grant{g}", STR)
-        init_cmds.append(assign(f"auth{g}", lit(("", False))))
-        b.handler("Front", f"Req{g}", ["u"],
-                  send(name("K"), f"Req{g}", name("u")))
-        b.handler("Back", f"Ok{g}", ["u"],
-                  assign(f"auth{g}", tup(name("u"), True)))
-        b.handler("Front", f"Use{g}", ["u"],
-                  ite(eq(tup(name("u"), True), name(f"auth{g}")),
-                      send(name("K"), f"Grant{g}", name("u"))))
-        props.append(TraceProperty(
-            f"AuthFirst{g}", "Enables",
-            recv_pat(comp_pat("Back"), msg_pat(f"Ok{g}", "?u")),
-            send_pat(comp_pat("Back"), msg_pat(f"Grant{g}", "?u")),
-        ))
-    b.init(*init_cmds)
-    return specify(b.build_validated(), *props)
+from repro.systems.synthetic import synthetic_kernel
 
 
 @pytest.mark.parametrize("groups", [1, 2, 4, 8, 16])

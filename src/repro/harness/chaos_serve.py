@@ -13,16 +13,15 @@ resilience invariants the hard way:
 * no sessions leak — ``live_sessions`` drains back to zero;
 * admission capacity is released — ``inflight`` drains back to zero.
 
-Six scenarios, selectable by name:
+Five scenarios, selectable by name:
 
-``worker-kill``
-    a worker process SIGKILLs itself mid-task (the
-    ``REPRO_CHAOS_TASK_FAULT=sigkill`` hook in
-    :mod:`repro.prover.parallel`, latched to fire exactly once); the
-    retry path must still deliver a fully-proved verdict.
-``hung-task``
-    a worker sleeps forever mid-task; the task-timeout watchdog must
-    condemn exactly the latched task and answer a partial verdict.
+``deadline``
+    a submission far larger than its budget — the 128-group synthetic
+    kernel (:mod:`repro.systems.synthetic`) with ``deadline_ms=250``,
+    where a full verification takes seconds; the engine's deadline
+    checks between obligations must answer a partial verdict, every
+    residue entry marked ``deadline``, within the budget plus one
+    second.
 ``disk-full-store``
     every proof-store write raises ``ENOSPC``
     (``REPRO_CHAOS_STORE_FULL``); verification must succeed anyway,
@@ -43,10 +42,10 @@ Six scenarios, selectable by name:
 
 Determinism: scenarios record *facts that are stable under scheduling*
 — booleans, and counts only where the harness forces them to be exact
-(latch files make a fault fire exactly once; the server's ``batch_hook``
-gate holds the prover so flood arithmetic is sequential).  No wall
-times appear in reports, so a fixed ``--seed`` reproduces the report
-bit for bit.
+(the server's ``batch_hook`` gate holds the prover so flood arithmetic
+is sequential).  No wall times appear in reports — the ``deadline``
+scenario records only whether its verdict arrived in time — so a fixed
+``--seed`` reproduces the report bit for bit.
 """
 
 from __future__ import annotations
@@ -64,22 +63,29 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import obs
-from ..prover import ProverOptions
+from ..frontend import pretty
 from ..seeds import derive_rng, derive_seed
 from ..serve.client import ServeClient, ServeError
 from ..serve.protocol import MAX_FRAME_BYTES, recv_message, send_message
 from ..serve.server import ServeOptions, VerificationServer
 from ..systems import car
+from ..systems.synthetic import synthetic_kernel
 
 #: Scenario registry order = execution and report order.
 SCENARIO_NAMES = (
-    "worker-kill",
-    "hung-task",
+    "deadline",
     "disk-full-store",
     "client-disconnect",
     "malformed-frame",
     "connection-flood",
 )
+
+#: The ``deadline`` scenario: handler groups of the submitted synthetic
+#: kernel, its budget, and how long past the budget the verdict may
+#: take (parse and the symbolic step build run before the first check).
+DEADLINE_GROUPS = 128
+DEADLINE_MS = 250
+DEADLINE_SLACK_S = 1.0
 
 
 @dataclass
@@ -157,14 +163,11 @@ def _chaos_env(**pairs: object) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _daemon(tmp: str, jobs: int = 1,
-            prover_options: Optional[ProverOptions] = None,
-            **overrides: object) -> Iterator[VerificationServer]:
+def _daemon(tmp: str, **overrides: object) -> Iterator[VerificationServer]:
     """A real daemon on an ephemeral TCP port, torn down afterwards."""
     options = ServeOptions(host="127.0.0.1", port=0,
-                           store=os.path.join(tmp, "store"),
-                           jobs=jobs, **overrides)
-    server = VerificationServer(options, prover_options=prover_options)
+                           store=os.path.join(tmp, "store"), **overrides)
+    server = VerificationServer(options)
     server.start()
     try:
         yield server
@@ -221,66 +224,41 @@ def _daemon_healthy(report: ScenarioReport,
 # -- scenarios ---------------------------------------------------------------
 
 
-def _scenario_worker_kill(report: ScenarioReport, tmp: str,
-                          jobs: int) -> None:
-    """A worker SIGKILLs itself once mid-task; retries must recover."""
-    latch = os.path.join(tmp, "kill.latch")
-    with _chaos_env(REPRO_CHAOS_TASK_FAULT="sigkill",
-                    REPRO_CHAOS_TASK_LATCH=latch):
-        with _daemon(tmp, jobs=max(2, jobs),
-                     prover_options=ProverOptions(task_retries=2)) \
-                as server:
-            with ServeClient(server.address, timeout=600) as client:
-                verdict = client.submit(car.SOURCE, stream=False)
-            counters = verdict.get("counters", {})
-            report.expect("fault_fired", os.path.exists(latch),
-                          "the sigkill latch was never taken")
-            report.expect(
-                "worker_death_observed",
-                counters.get("parallel.worker_died", 0) >= 1,
-                f"parallel.worker_died={counters.get('parallel.worker_died', 0)}",
-            )
-            report.expect("verdict_all_proved",
-                          verdict.get("all_proved") is True,
-                          f"all_proved={verdict.get('all_proved')}")
-            report.expect("verdict_terminal",
-                          verdict.get("type") == "verdict",
-                          f"type={verdict.get('type')}")
-            _daemon_healthy(report, server)
+def _scenario_deadline(report: ScenarioReport, tmp: str) -> None:
+    """A submission far larger than its budget answers on time, with
+    a partial verdict."""
+    source = pretty(synthetic_kernel(DEADLINE_GROUPS))
+    with _daemon(tmp) as server:
+        with ServeClient(server.address, timeout=600) as client:
+            started = time.monotonic()
+            verdict = client.submit(source, stream=False,
+                                    deadline_ms=DEADLINE_MS)
+            elapsed = time.monotonic() - started
+        residue = verdict.get("residue", [])
+        report.expect("verdict_terminal",
+                      verdict.get("type") == "verdict",
+                      f"type={verdict.get('type')}")
+        report.expect("deadline_expired",
+                      verdict.get("deadline_expired") is True,
+                      f"deadline_expired={verdict.get('deadline_expired')}")
+        report.expect(
+            "residue_all_deadline",
+            bool(residue) and all(entry.get("status") == "deadline"
+                                  for entry in residue),
+            f"statuses={sorted({e.get('status') for e in residue})}",
+        )
+        report.expect(
+            "answered_within_budget",
+            elapsed <= DEADLINE_MS / 1000.0 + DEADLINE_SLACK_S,
+            f"verdict after {elapsed:.2f}s for a {DEADLINE_MS} ms budget",
+        )
+        _daemon_healthy(report, server)
 
 
-def _scenario_hung_task(report: ScenarioReport, tmp: str,
-                        jobs: int) -> None:
-    """A worker hangs once; the watchdog condemns exactly that task."""
-    latch = os.path.join(tmp, "hang.latch")
-    with _chaos_env(REPRO_CHAOS_TASK_FAULT="hang",
-                    REPRO_CHAOS_TASK_LATCH=latch,
-                    REPRO_CHAOS_TASK_SECONDS="3600"):
-        with _daemon(tmp, jobs=max(2, jobs),
-                     prover_options=ProverOptions(task_timeout=1.0,
-                                                  task_retries=0)) \
-                as server:
-            with ServeClient(server.address, timeout=600) as client:
-                verdict = client.submit(car.SOURCE, stream=False)
-            residue = verdict.get("residue", [])
-            report.expect("fault_fired", os.path.exists(latch),
-                          "the hang latch was never taken")
-            report.expect("verdict_partial",
-                          verdict.get("all_proved") is False,
-                          f"all_proved={verdict.get('all_proved')}")
-            report.expect("residue_count_exactly_one", len(residue) == 1,
-                          f"residue has {len(residue)} entries")
-            goal = residue[0].get("goal", "") if residue else ""
-            report.expect("residue_names_timeout", "task timeout" in goal,
-                          f"goal={goal!r}")
-            _daemon_healthy(report, server)
-
-
-def _scenario_disk_full_store(report: ScenarioReport, tmp: str,
-                              jobs: int) -> None:
+def _scenario_disk_full_store(report: ScenarioReport, tmp: str) -> None:
     """Every proof-store write fails ENOSPC; verification shrugs."""
     with _chaos_env(REPRO_CHAOS_STORE_FULL="1"):
-        with _daemon(tmp, jobs=1) as server:
+        with _daemon(tmp) as server:
             with ServeClient(server.address, timeout=600) as client:
                 verdict = client.submit(car.SOURCE, stream=False)
             counters = verdict.get("counters", {})
@@ -295,8 +273,7 @@ def _scenario_disk_full_store(report: ScenarioReport, tmp: str,
             _daemon_healthy(report, server)
 
 
-def _scenario_client_disconnect(report: ScenarioReport, tmp: str,
-                                jobs: int) -> None:
+def _scenario_client_disconnect(report: ScenarioReport, tmp: str) -> None:
     """A client vanishes (RST) after submitting, before its verdict."""
     entered = threading.Event()
     gate = threading.Event()
@@ -305,7 +282,7 @@ def _scenario_client_disconnect(report: ScenarioReport, tmp: str,
         entered.set()
         gate.wait(timeout=60)
 
-    with _daemon(tmp, jobs=1) as server:
+    with _daemon(tmp) as server:
         server.batch_hook = hold
         sock = _raw_client(server)
         send_message(sock, {"op": "submit", "source": car.SOURCE,
@@ -328,10 +305,10 @@ def _scenario_client_disconnect(report: ScenarioReport, tmp: str,
 
 
 def _scenario_malformed_frame(report: ScenarioReport, tmp: str,
-                              jobs: int, seed: int) -> None:
+                              seed: int) -> None:
     """Garbled wire input of every flavor draws typed errors, no harm."""
     rng = derive_rng(seed, "malformed", "bodies")
-    with _daemon(tmp, jobs=1) as server:
+    with _daemon(tmp) as server:
         def expect_error(payload_bytes: bytes, check: str,
                          code: str) -> None:
             sock = _raw_client(server)
@@ -404,8 +381,7 @@ def _scenario_malformed_frame(report: ScenarioReport, tmp: str,
         _daemon_healthy(report, server)
 
 
-def _scenario_connection_flood(report: ScenarioReport, tmp: str,
-                               jobs: int) -> None:
+def _scenario_connection_flood(report: ScenarioReport, tmp: str) -> None:
     """More submits than capacity: excess shed, backlog bounded, every
     admitted client answered once the prover catches up."""
     entered = threading.Event()
@@ -421,7 +397,7 @@ def _scenario_connection_flood(report: ScenarioReport, tmp: str,
         return (server.admission.inflight
                 + stats["shed_capacity"] + stats["shed_session"])
 
-    with _daemon(tmp, jobs=1, max_queued=max_queued,
+    with _daemon(tmp, max_queued=max_queued,
                  session_inflight=2) as server:
         server.batch_hook = hold
         # The first client's batch reaches the prover and is held there;
@@ -526,8 +502,8 @@ def _scenario_connection_flood(report: ScenarioReport, tmp: str,
 
 
 def run_chaos_serve(scenarios: Optional[Sequence[str]] = None,
-                    seed: int = 0, jobs: int = 2) -> ChaosServeReport:
-    """Run the selected scenarios (all six by default), each against a
+                    seed: int = 0) -> ChaosServeReport:
+    """Run the selected scenarios (all five by default), each against a
     freshly booted daemon, and return the sweep report."""
     names = list(scenarios) if scenarios else list(SCENARIO_NAMES)
     unknown = [name for name in names if name not in SCENARIO_NAMES]
@@ -542,19 +518,16 @@ def run_chaos_serve(scenarios: Optional[Sequence[str]] = None,
         scenario = ScenarioReport(name=name, seed=scenario_seed)
         tmp = tempfile.mkdtemp(prefix=f"chaos-serve-{name}-")
         try:
-            if name == "worker-kill":
-                _scenario_worker_kill(scenario, tmp, jobs)
-            elif name == "hung-task":
-                _scenario_hung_task(scenario, tmp, jobs)
+            if name == "deadline":
+                _scenario_deadline(scenario, tmp)
             elif name == "disk-full-store":
-                _scenario_disk_full_store(scenario, tmp, jobs)
+                _scenario_disk_full_store(scenario, tmp)
             elif name == "client-disconnect":
-                _scenario_client_disconnect(scenario, tmp, jobs)
+                _scenario_client_disconnect(scenario, tmp)
             elif name == "malformed-frame":
-                _scenario_malformed_frame(scenario, tmp, jobs,
-                                          scenario_seed)
+                _scenario_malformed_frame(scenario, tmp, scenario_seed)
             elif name == "connection-flood":
-                _scenario_connection_flood(scenario, tmp, jobs)
+                _scenario_connection_flood(scenario, tmp)
         except Exception as error:  # noqa: BLE001 — a crash is a failure
             scenario.expect("scenario_completed", False,
                             f"{type(error).__name__}: {error}")
@@ -600,7 +573,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--scenarios", default="all",
                         help="comma-separated scenario names (or 'all')")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--report-out", metavar="FILE", default=None)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
@@ -608,7 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
              else [n.strip() for n in args.scenarios.split(",")
                    if n.strip()])
     try:
-        report = run_chaos_serve(names, seed=args.seed, jobs=args.jobs)
+        report = run_chaos_serve(names, seed=args.seed)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -142,7 +142,6 @@ class BenchmarkProfile:
 
 def run_figure6_profiled(
     options: Optional[ProverOptions] = None,
-    jobs: Optional[int] = None,
 ) -> Tuple[List[Figure6Row], List[BenchmarkProfile]]:
     """Verify every Figure 6 property under a telemetry sink per
     benchmark; returns the paper rows plus per-benchmark per-stage
@@ -152,9 +151,7 @@ def run_figure6_profiled(
     reports: Dict[str, object] = {}
     for name, module in BENCHMARKS.items():
         with obs.use(obs.Telemetry()) as telemetry:
-            reports[name] = Verifier(
-                module.load(), options
-            ).verify_all(jobs=jobs)
+            reports[name] = Verifier(module.load(), options).verify_all()
         profiles.append(BenchmarkProfile(
             name, dict(telemetry.counters), telemetry.stage_seconds()
         ))

@@ -2,7 +2,7 @@
 
 Traces and metrics say how long things took; the event log says *what
 happened, in order* — which is the question a chaos-harness violation or
-a flaky parallel run actually poses.  Events are small frozen records
+a flaky run actually poses.  Events are small frozen records
 (a sequence number, a wall-clock offset, a kind, sorted key/value
 fields) appended in causal order: an injected fault is logged before the
 supervisor action it provokes, which is logged before any monitor

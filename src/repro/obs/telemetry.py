@@ -20,12 +20,13 @@ Design constraints, in order:
   same fast path and additionally no-op when their component is off;
 * **bounded** — the raw span list is capped: per-name totals stay exact
   (maintained incrementally), but only the ``max_spans`` slowest raw
-  spans are retained, so large parallel runs cannot grow the sink
-  without bound;
-* **process-portable** — a worker installs its own sink, runs a task,
-  and ships :meth:`Telemetry.export` home; the parent folds it in with
-  :meth:`Telemetry.merge_export`, normalizing worker clock offsets.
-  The legacy ``merge(counters, spans)`` form still works;
+  spans are retained, so large runs cannot grow the sink without
+  bound;
+* **portable** — :meth:`Telemetry.export` is a pickle-friendly
+  snapshot that another sink folds in with
+  :meth:`Telemetry.merge_export`, normalizing clock offsets (the serve
+  daemon folds each submission's sink into its own).  The legacy
+  ``merge(counters, spans)`` form still works;
 * **structured output** — :meth:`Telemetry.to_dict` is what
   ``python -m repro verify --profile --json`` embeds (now with optional
   ``trace``/``metrics``/``events`` sections), and
@@ -90,9 +91,8 @@ class Telemetry:
         self.worker = worker
         #: Request-context tags (e.g. the serve daemon's ``submit_id``)
         #: merged into every span's attrs and every event's fields, so
-        #: one submission's work is traceable end to end — through
-        #: coalesced verify groups and across the worker-pool boundary
-        #: (:mod:`repro.prover.parallel` ships tags to its workers).
+        #: one submission's work is traceable end to end, through
+        #: coalesced verify groups.
         #: Explicit attrs/fields win on key collision.  Empty by
         #: default, so the hot path pays only a falsy check.
         self.tags: Dict[str, object] = dict(tags) if tags else {}

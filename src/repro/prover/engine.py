@@ -17,10 +17,10 @@ Verification runs as a staged pipeline (see :mod:`repro.prover.pipeline`):
 * **check** — validate the assembled derivation through the independent
   :mod:`checker <repro.prover.checker>`.
 
-``verify_all(jobs=N)`` fans properties — and, independently, the NI
-obligations within a property — across a process pool (see
-:mod:`repro.prover.parallel`); each worker memoizes the symbolic
-:class:`GenericStep` once.  Every stage reports counters and spans to
+``verify_all()`` runs the properties one after another in the calling
+thread, with ``ProverOptions.deadline`` checked before every property
+and before every obligation the engine discharges one at a time (see
+:meth:`Verifier.verify_all`).  Every stage reports counters and spans to
 :mod:`repro.obs` when a telemetry sink is installed.
 
 The engine also hosts the optimizations of paper section 6.4, each behind a
@@ -128,29 +128,19 @@ class ProverOptions:
     #: an optimisation switch: it runs either way.)
     compile_plans: bool = True
     proof_store: Optional[str] = None
-    #: parallel runs only: wall-clock budget per obligation task, in
-    #: seconds (``None`` disables the watchdog)
-    task_timeout: Optional[float] = None
-    #: parallel runs only: how many times a timed-out or crashed task is
-    #: retried before it becomes a diagnostic failure verdict
-    task_retries: int = 1
-    #: absolute ``time.monotonic()`` deadline for the whole run; a
-    #: property (serial) or obligation task (parallel) not finished by
-    #: then becomes a diagnostic failure verdict carrying
-    #: :data:`DEADLINE_MESSAGE`, so callers get a *partial* report —
-    #: whatever was proved inside the budget — instead of a hang.
-    #: ``None`` (the default) disables the budget.  Execution policy
-    #: only: it never shapes obligation keys or derivations.
+    #: absolute ``time.monotonic()`` deadline for the whole run, checked
+    #: before every property, every NI obligation and every store-backed
+    #: trace fragment; a property not finished by then becomes a
+    #: diagnostic failure verdict carrying :data:`DEADLINE_MESSAGE`, so
+    #: callers get a *partial* report — whatever was proved inside the
+    #: budget — instead of a late one.  A search call already running
+    #: is not interrupted.  ``None`` (the default) disables the budget.
+    #: Execution policy only: it never shapes obligation keys or
+    #: derivations.
     deadline: Optional[float] = None
-    #: parallel runs only: retire the pool after this many completed
-    #: tasks (a fresh pool serves the remainder); ``None`` disables
-    pool_recycle_tasks: Optional[int] = None
-    #: parallel runs only: retire the pool once any worker reports a
-    #: peak RSS above this many MiB; ``None`` disables
-    worker_rss_limit_mb: Optional[float] = None
 
 
-#: Diagnostic-error prefix for work condemned by ``ProverOptions.deadline``
+#: Diagnostic error of a property failed by ``ProverOptions.deadline``
 #: (the serve layer's residue rendering keys off it).
 DEADLINE_MESSAGE = "deadline expired before this proof completed"
 
@@ -185,8 +175,8 @@ class PropertyResult:
     def derivation_key(self) -> Optional[str]:
         """Content address of the derivation (``None`` for failures).
 
-        Identical across serial/parallel and cold/warm-store runs — the
-        differential tests assert exactly that.  Rendered once per
+        Identical across cold/warm-store and compiled/interpreted runs —
+        the differential tests assert exactly that.  Rendered once per
         proof: a daemon verdict asks for it once per waiter and once
         more for the degraded-answer cache.
         """
@@ -220,9 +210,8 @@ class PropertyResult:
 class VerificationReport:
     """Results for every property of one program.
 
-    ``total_seconds`` sums the per-property (CPU-side) times;
-    ``wall_seconds`` is the report-level elapsed time.  The two diverge
-    under ``verify_all(jobs=N)``.
+    ``total_seconds`` sums the per-property times; ``wall_seconds`` is
+    the report-level elapsed time.
     """
 
     program_name: str
@@ -414,10 +403,6 @@ class Verifier:
         #: every content address this verification uses
         self.keys = KeyTable(spec.program, self.options)
         self._plan: Optional[symcompile.CompiledPlan] = None
-        #: set by the parallel worker initializer: workers serve hot
-        #: results seeded from the shared arena even though they run
-        #: under a telemetry sink (see :meth:`_hot_results`)
-        self._hot_results_override: Optional[bool] = None
         self._store: Optional[ProofStore] = (
             ProofStore(self.options.proof_store)
             if self.options.proof_store else None
@@ -436,17 +421,12 @@ class Verifier:
         """Whether the compiled plan's hot result cache may serve and
         record obligation results.
 
-        Disabled while a telemetry sink is installed (unless a parallel
-        worker overrides it after arena seeding): serving a result
+        Disabled while a telemetry sink is installed: serving a result
         without re-running the search would silently change the
         search-stage counters that the telemetry differential tests pin
         down.
         """
-        if not self.options.compile_plans:
-            return False
-        if self._hot_results_override is not None:
-            return self._hot_results_override
-        return obs.active() is None
+        return self.options.compile_plans and obs.active() is None
 
     def generic_step(self) -> GenericStep:
         """The symbolic inductive step (memoized per section 6.4).
@@ -720,7 +700,9 @@ class Verifier:
         checker before reuse — so an incremental edit to one handler
         re-proves only the fragments whose dependency slice changed (or
         whose revalidation fails, e.g. a stale secondary-induction
-        invariant)."""
+        invariant).  The run's deadline is checked before each fragment,
+        so a store-backed search stops between fragments; the monolithic
+        search is one call and is not interrupted."""
         if self._store is None:
             with obs.span("search", property=prop.name):
                 return prove_trace_property(self._tactic_context(), prop)
@@ -728,9 +710,11 @@ class Verifier:
         step = self.generic_step()
         tc = self._tactic_context()
         with obs.span("search", property=prop.name):
+            self._check_deadline(prop)
             base = self._fragment_base(tc, prop, scheme, step)
             steps: List[StepProof] = []
             for ex in step.exchanges:
+                self._check_deadline(prop)
                 steps.extend(
                     self._fragment_exchange(tc, prop, scheme, step, ex)
                 )
@@ -820,6 +804,7 @@ class Verifier:
         base_notes: Tuple[str, ...] = ()
         verdicts: List[PathVerdict] = []
         for ob in obligations:
+            self._check_deadline(prop)
             payload, from_store = self.ni_part(prop, ob.part)
             all_from_store = all_from_store and from_store
             if ob.part is None:
@@ -887,6 +872,15 @@ class Verifier:
         deadline = self.options.deadline
         return deadline is not None and time.monotonic() >= deadline
 
+    def _check_deadline(self, prop: Property) -> None:
+        """Fail ``prop`` with :data:`DEADLINE_MESSAGE` once the run's
+        deadline has passed (checked before each obligation the engine
+        discharges one at a time)."""
+        if self._deadline_expired():
+            obs.incr("prover.deadline_interrupted")
+            obs.event("property.deadline", property=prop.name)
+            raise ProofSearchFailure(DEADLINE_MESSAGE)
+
     def _deadline_result(self, prop: Property) -> PropertyResult:
         obs.incr("prover.deadline_skipped")
         obs.event("property.deadline", property=prop.name)
@@ -897,38 +891,32 @@ class Verifier:
             error=DEADLINE_MESSAGE,
         )
 
-    def verify_all(self, jobs: Optional[int] = None) -> VerificationReport:
-        """Verify every property of the program.
+    def verify_all(self) -> VerificationReport:
+        """Verify every property of the program, in specification order.
 
-        With ``jobs > 1`` the properties (and the NI obligations within
-        them) fan out across a process pool; verdicts, derivations and
-        checker approvals are identical to the serial run.
+        ``ProverOptions.deadline`` is checked before each property,
+        before each NI obligation, and — with a proof store — before the
+        base fragment and each exchange fragment of a trace search.  A
+        property the deadline catches fails with
+        :data:`DEADLINE_MESSAGE`; everything proved before it stays
+        proved, and fragments searched before it stay in the store.
         """
         start = time.perf_counter()
         report = VerificationReport(self.spec.name)
-        with obs.span("verify", program=self.spec.name,
-                      jobs=jobs if jobs is not None else 1):
-            if jobs is not None and jobs > 1 and self.spec.properties:
-                from .parallel import verify_parallel
-
-                report.results.extend(
-                    verify_parallel(self.spec, self.options, jobs)
-                )
-            else:
-                for prop in self.spec.properties:
-                    if self._deadline_expired():
-                        report.results.append(self._deadline_result(prop))
-                        continue
-                    report.results.append(self.prove_property(prop))
+        with obs.span("verify", program=self.spec.name):
+            for prop in self.spec.properties:
+                if self._deadline_expired():
+                    report.results.append(self._deadline_result(prop))
+                    continue
+                report.results.append(self.prove_property(prop))
         report.wall_seconds = time.perf_counter() - start
         return report
 
 
 def verify(spec: SpecifiedProgram,
-           options: Optional[ProverOptions] = None,
-           jobs: Optional[int] = None) -> VerificationReport:
+           options: Optional[ProverOptions] = None) -> VerificationReport:
     """One-shot convenience: verify all properties of ``spec``."""
-    return Verifier(spec, options).verify_all(jobs=jobs)
+    return Verifier(spec, options).verify_all()
 
 
 def prove(spec: SpecifiedProgram, property_name: str,

@@ -235,9 +235,9 @@ def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
 def derivation_key(proof: object) -> str:
     """The content address of a derivation (any proof object).
 
-    Bitwise-identical derivations — across serial/parallel and cold/warm
-    runs — have identical keys; the differential tests assert exactly
-    that.
+    Bitwise-identical derivations — across cold/warm-store and
+    compiled/interpreted runs — have identical keys; the differential
+    tests assert exactly that.
     """
     return digest(proof)
 
@@ -276,8 +276,9 @@ class ProofStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: keys this process has already persisted *checked* — repeat
-        #: puts (coalesced daemon batches, retried parallel tasks) are
-        #: idempotent no-ops instead of redundant temp-file churn
+        #: puts (a fragment filed again with its whole derivation, a
+        #: daemon re-verifying a source) are idempotent no-ops instead
+        #: of redundant temp-file churn
         self._seen: set = set()
 
     def path_for(self, key: str) -> Path:

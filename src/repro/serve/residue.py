@@ -85,7 +85,7 @@ def degraded_residue(spec, reason: str) -> List[dict]:
     but unverified submission still gets one structured entry per
     property — status ``"degraded"``, no goal or counterexample — so an
     editor can render *what remains to be shown* instead of an opaque
-    failure while the pool heals.
+    failure while the backend heals.
     """
     return [
         {

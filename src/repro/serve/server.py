@@ -35,21 +35,19 @@ Resilience model (the PR 9 layer):
   so a flood cannot grow ``_submissions`` — or daemon memory — without
   bound;
 * **deadlines**: ``deadline_ms`` on a submit frame becomes an absolute
-  :class:`~repro.prover.engine.ProverOptions` deadline; past it the
-  engine condemns whatever is still in flight and the client gets a
-  *partial* verdict whose residue marks the timed-out properties with
-  status ``deadline`` — degraded answers, not hangs;
+  :class:`~repro.prover.engine.ProverOptions` deadline, which the engine
+  checks between obligations; past it the client gets a *partial*
+  verdict whose residue marks the unfinished properties with status
+  ``deadline`` — degraded answers, not hangs.  Parsing, the symbolic
+  step build and a single search call run to completion before the
+  next check (see docs/serve.md);
 * **circuit breaking** (:mod:`repro.serve.breaker`): consecutive
-  backend failures (worker deaths, abandoned pools, escaped crashes)
-  open the breaker; while open, submissions are answered *degraded* —
-  a cached verdict when this daemon has verified the identical source
-  before, a residue-only answer otherwise — and a background probe
-  checks whether worker processes can be spawned at all before the
-  breaker closes;
-* **pool hygiene**: ``pool_recycle_tasks`` / ``worker_rss_limit_mb``
-  make the prover's process pool drain and rebuild periodically (see
-  :mod:`repro.prover.parallel`), so one leaky verification cannot grow
-  workers forever.
+  backend failures (exceptions escaping the prover) open the breaker;
+  while open, submissions are answered *degraded* — a cached verdict
+  when this daemon has verified the identical source before, a
+  residue-only answer otherwise.  After the cooldown one half-open
+  trial verification runs: success closes the breaker, failure
+  re-opens it.
 
 Responses stream obligation-progress events (the flight-recorder
 envelope of PR 4) and terminate with a verdict carrying the *unproved
@@ -127,18 +125,6 @@ def _env_float(name: str) -> Optional[float]:
     return value if value > 0 else None
 
 
-def _env_int(name: str) -> Optional[int]:
-    """An optional positive int from the environment."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 @dataclass
 class ServeOptions:
     """Daemon configuration (the CLI's ``repro serve`` flags)."""
@@ -152,8 +138,6 @@ class ServeOptions:
     #: shared proof-store directory (``None`` disables persistence —
     #: warm reuse then rides on compiled plans only)
     store: Optional[str] = None
-    #: worker processes per verification (1 = serial in the prover thread)
-    jobs: int = 1
     #: intern-table budget for the cache governor
     max_intern_terms: int = DEFAULT_MAX_INTERN_TERMS
     #: write an aggregated run payload (for ``repro report``) here,
@@ -168,18 +152,8 @@ class ServeOptions:
     session_inflight: int = DEFAULT_SESSION_INFLIGHT
     #: consecutive backend failures before the circuit breaker opens
     breaker_threshold: int = DEFAULT_THRESHOLD
-    #: seconds an open breaker waits before probing/half-open trials
+    #: seconds an open breaker waits before its half-open trial
     breaker_cooldown: float = DEFAULT_COOLDOWN
-    #: recycle the worker pool after this many completed tasks
-    #: (``REPRO_SERVE_POOL_RECYCLE_TASKS``; ``None`` disables)
-    pool_recycle_tasks: Optional[int] = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_POOL_RECYCLE_TASKS")
-    )
-    #: recycle the worker pool once a worker's peak RSS exceeds this
-    #: many MiB (``REPRO_SERVE_WORKER_RSS_MB``; ``None`` disables)
-    worker_rss_limit_mb: Optional[float] = field(
-        default_factory=lambda: _env_float("REPRO_SERVE_WORKER_RSS_MB")
-    )
     #: rolling time-series sampling interval, seconds
     #: (``REPRO_SERVE_SAMPLE_INTERVAL``)
     sample_interval: float = field(
@@ -297,12 +271,6 @@ def _jsonable_part(part: Part) -> Optional[List[str]]:
     return None if part is None else [part[0], part[1]]
 
 
-def _probe_ok() -> str:
-    """The breaker probe's worker-side task (module-level: picklable
-    under the ``spawn`` start method)."""
-    return "ok"
-
-
 class _ClientGone(OSError):
     """The peer vanished while we were sending (already counted)."""
 
@@ -316,10 +284,6 @@ class VerificationServer:
         base = prover_options or ProverOptions()
         if self.options.store is not None:
             base.proof_store = self.options.store
-        if self.options.pool_recycle_tasks is not None:
-            base.pool_recycle_tasks = self.options.pool_recycle_tasks
-        if self.options.worker_rss_limit_mb is not None:
-            base.worker_rss_limit_mb = self.options.worker_rss_limit_mb
         self.prover_options = base
         self.sessions = SessionRegistry()
         self.invalidation = InvalidationMap()
@@ -365,8 +329,6 @@ class VerificationServer:
         self._flush_errors = 0
         self._client_drops = 0
         self._verdict_cache: "OrderedDict[str, dict]" = OrderedDict()
-        self._probe_thread: Optional[threading.Thread] = None
-        self._probe_lock = threading.Lock()
         #: chaos instrumentation: called with each batch before it is
         #: processed (see :mod:`repro.harness.chaos_serve`); failures
         #: are swallowed — the hook can observe, block or delay, never
@@ -766,7 +728,7 @@ class VerificationServer:
 
         Never raises: a submission that blows up outside the expected
         parse-error path (``RecursionError`` on a pathological kernel,
-        pool failures inside ``verify_all``, ...) becomes a terminal
+        a crash inside ``verify_all``, ...) becomes a terminal
         ``error`` frame for every waiter still owed one, so a single bad
         request cannot strand clients or kill the prover thread.
         """
@@ -822,10 +784,9 @@ class VerificationServer:
         options = self.prover_options
         if deadline is not None:
             options = replace(options, deadline=deadline)
-        # Tag every span and event this group produces — including the
-        # ones pool workers ship home — with the waiting submit ids, so
-        # one submission's work is traceable end to end even through
-        # coalescing.
+        # Tag every span and event this group produces with the waiting
+        # submit ids, so one submission's work is traceable end to end
+        # even through coalescing.
         submit_ids = [w.submit_id for w in waiters if w.submit_id]
         sink = obs.Telemetry(
             metrics=True, events=True,
@@ -839,36 +800,32 @@ class VerificationServer:
         started = time.perf_counter()
         with obs.use(sink):
             verifier = Verifier(spec, options)
-            report = verifier.verify_all(
-                jobs=self.options.jobs if self.options.jobs > 1 else None
+            report = verifier.verify_all()
+            deadline_expired = any(
+                DEADLINE_MESSAGE in (result.error or "")
+                for result in report.results
             )
             # One key table per submission: the slice digests and keys
             # the verification computed serve the session diff and the
-            # invalidation index too.
+            # invalidation index too.  A group that ran out of budget
+            # skips the index: filling it means computing every
+            # property's fragment keys after the deadline has passed,
+            # and the index only feeds later verdicts'
+            # ``invalidated_keys`` count.
             program_digest = verifier.program_digest()
             digests = verifier.keys.slice_digests()
-            self.invalidation.record_program(verifier)
+            if not deadline_expired:
+                self.invalidation.record_program(verifier)
         wall = time.perf_counter() - started
         residue = residue_for(report)
         counters = dict(sink.counters)
-        deadline_expired = any(
-            DEADLINE_MESSAGE in (result.error or "")
-            for result in report.results
-        )
+        self.breaker.record_success()
         if deadline_expired:
             with self._telemetry_lock:
                 self.telemetry.incr("serve.deadline.expired")
-        backend_failed = (
-            counters.get("parallel.worker_died", 0) > 0
-            or counters.get("parallel.task_abandoned", 0) > 0
-        )
-        if backend_failed:
-            self._note_backend_failure("worker deaths or abandoned pool")
         else:
-            self.breaker.record_success()
-            if not deadline_expired:
-                self._cache_verdict(source, spec, report, residue,
-                                    program_digest)
+            self._cache_verdict(source, spec, report, residue,
+                                program_digest)
         fanout_start = time.monotonic()
         for waiter in waiters:
             waiter.answer(self._verdict_frame(
@@ -960,8 +917,9 @@ class VerificationServer:
     # -- circuit breaking and degraded serving -------------------------------
 
     def _note_backend_failure(self, reason: str) -> None:
-        """Feed one backend failure to the breaker; when it opens, start
-        the background probe that will eventually close it."""
+        """Feed one backend failure to the breaker (which opens after
+        ``breaker_threshold`` in a row; only a successful half-open
+        trial closes it again)."""
         self.breaker.record_failure()
         with self._telemetry_lock:
             self.telemetry.incr("serve.breaker.failure")
@@ -970,8 +928,6 @@ class VerificationServer:
                     "serve.breaker.failure", reason=reason,
                     state=self.breaker.state,
                 )
-        if self.breaker.state != "closed":
-            self._start_probe()
 
     def _cache_verdict(self, source: str, spec, report,
                        residue: List[dict],
@@ -1065,48 +1021,6 @@ class VerificationServer:
             waiter.answer(frame)
             self._note_recent(waiter, "degraded", breakdown)
             answered.add(id(waiter))
-
-    def _start_probe(self) -> None:
-        """Start (once) the background thread that probes the backend
-        and closes the breaker when fresh workers spawn again."""
-        with self._probe_lock:
-            if (self._probe_thread is not None
-                    and self._probe_thread.is_alive()):
-                return
-            self._probe_thread = threading.Thread(
-                target=self._probe_loop, name="serve-probe", daemon=True,
-            )
-            self._probe_thread.start()
-
-    def _probe_loop(self) -> None:
-        """Periodically check that a worker process can be spawned and
-        do trivial work; success closes the breaker."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        interval = max(0.1, min(self.breaker.cooldown, 2.0))
-        while (not self._stopping.is_set()
-               and self.breaker.state != "closed"):
-            if self._stopping.wait(interval):
-                return
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=multiprocessing.get_context("spawn"),
-                ) as pool:
-                    ok = pool.submit(_probe_ok).result(timeout=30)
-            except Exception:  # noqa: BLE001 - any failure = still sick
-                ok = None
-            if ok == "ok":
-                self.breaker.record_success()
-                with self._telemetry_lock:
-                    self.telemetry.incr("serve.breaker.probe_ok")
-                    if self.telemetry.events is not None:
-                        self.telemetry.events.emit("serve.breaker.closed")
-                return
-            self.breaker.record_failure()
-            with self._telemetry_lock:
-                self.telemetry.incr("serve.breaker.probe_fail")
 
     # -- stats and artifacts -------------------------------------------------
 

@@ -10,9 +10,9 @@ daemon is yellow and a probe can alert on the overall string alone.
 Checks, in the order they are evaluated:
 
 ``breaker``
-    a closed circuit breaker is ``ok``; half-open (probing) and open
-    (serving degraded answers) are ``degraded`` — the daemon still
-    answers, but with cached/residue-only verdicts;
+    a closed circuit breaker is ``ok``; half-open (awaiting its trial)
+    and open (serving degraded answers) are ``degraded`` — the daemon
+    still answers, but with cached/residue-only verdicts;
 ``backlog``
     admission backlog as a fraction of ``max_queued``: past
     ``backlog_degraded`` (default 80%) it is ``degraded``, at or past
@@ -21,10 +21,6 @@ Checks, in the order they are evaluated:
     artifact-flush errors *within the rolling window* mark the daemon
     ``degraded`` (its stats/events outputs are stale; verification
     itself still works);
-``pool``
-    worker deaths or abandoned tasks within the window mark the backend
-    ``degraded`` even before the breaker trips (early warning); pool
-    recycling alone is routine hygiene and stays ``ok``;
 ``slo``
     when a p99 latency SLO is configured (``slo_p99_ms``, env
     ``REPRO_SERVE_SLO_P99_MS``): the windowed p99 of
@@ -88,7 +84,7 @@ class HealthPolicy:
             "REPRO_SERVE_SLO_P99_MS"
         )
     )
-    #: rolling window the SLO (and flush/pool deltas) are computed over
+    #: rolling window the SLO (and flush deltas) are computed over
     slo_window_s: float = DEFAULT_SLO_WINDOW_S
     #: fraction of requests that must meet the objective
     slo_target: float = DEFAULT_SLO_TARGET
@@ -151,16 +147,6 @@ def compute_health(policy: HealthPolicy, *,
         "detail": (f"{flushes} artifact flush error(s) in the last "
                    f"{window:.0f}s" if flushes
                    else "artifacts flushing cleanly"),
-    })
-
-    deaths = (series.total("parallel.worker_died", over=window)
-              + series.total("parallel.task_abandoned", over=window))
-    recycled = series.total("parallel.pool_recycled", over=window)
-    checks.append({
-        "name": "pool",
-        "status": "degraded" if deaths else "ok",
-        "detail": (f"{deaths} worker death(s)/abandonment(s), "
-                   f"{recycled} recycle(s) in the last {window:.0f}s"),
     })
 
     slo_check: dict = {"name": "slo", "status": "ok"}

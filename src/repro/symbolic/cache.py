@@ -53,8 +53,7 @@ def enabled() -> bool:
 
 
 def set_enabled(value: bool) -> None:
-    """Set the process-wide caching switch (workers call this from the
-    pool initializer with ``ProverOptions.term_cache``)."""
+    """Set the process-wide caching switch."""
     global _ENABLED
     _ENABLED = bool(value)
 

@@ -33,9 +33,9 @@ Correctness never *depends* on interning: ``__eq__`` falls back to a
 structural comparison, so terms that predate :func:`reset_interning` (or
 that crossed a process boundary) still compare equal to freshly interned
 ones.  Pickled terms re-intern on load (``__reduce__`` routes through the
-constructor), which is what keeps the tables consistent in
-:mod:`repro.prover.parallel` workers — each worker resets to a fresh table
-in its pool initializer and rebuilds it from the unpickled spec.
+constructor), so derivations read back from the proof store join the
+current table — including one started afresh by :func:`reset_interning`
+(the serve daemon's cache governor does that between batches).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def intern_table_size() -> int:
 
 
 def reset_interning() -> None:
-    """Drop the intern table (fresh-table-per-worker contract).
+    """Drop the intern table (a new cache generation).
 
     Existing terms stay valid — equality degrades gracefully to the
     structural fallback — and the canonical booleans are re-seeded so the

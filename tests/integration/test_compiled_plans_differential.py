@@ -2,12 +2,12 @@
 plan must be semantically invisible next to interpreting the symbolic
 step from scratch.
 
-For every builtin kernel, compile-on and ``--no-compile`` runs — serial
-and with a worker pool — must produce identical per-property verdicts,
-checker approvals, derivation keys, and error text.  The derivation key
-pins the whole derivation, and the obligation keys under it are
-content-addressed, so this asserts bit-for-bit key stability across the
-compiled and interpreted paths, not merely agreement on "proved".
+For every builtin kernel, compile-on and ``--no-compile`` runs must
+produce identical per-property verdicts, checker approvals, derivation
+keys, and error text.  The derivation key pins the whole derivation,
+and the obligation keys under it are content-addressed, so this asserts
+bit-for-bit key stability across the compiled and interpreted paths,
+not merely agreement on "proved".
 """
 
 import pytest
@@ -49,26 +49,3 @@ def test_compilation_is_semantically_invisible(name):
     assert signature(compiled) == signature(interpreted)
     assert compiled.all_proved
 
-
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_compilation_is_invisible_in_parallel(name):
-    """With ``jobs=4`` the parent ships the compiled step (and hot
-    results) to workers through the shared arena; the interpreted pool
-    rebuilds per worker.  Verdicts and keys must not notice."""
-    spec = BENCHMARKS[name].load()
-
-    serial_interpreted = Verifier(
-        spec, ProverOptions(compile_plans=False)
-    ).verify_all()
-    symcompile.clear_plans()
-    parallel_compiled = Verifier(
-        spec, ProverOptions(compile_plans=True)
-    ).verify_all(jobs=4)
-    symcompile.clear_plans()
-    parallel_interpreted = Verifier(
-        spec, ProverOptions(compile_plans=False)
-    ).verify_all(jobs=4)
-
-    expected = signature(serial_interpreted)
-    assert signature(parallel_compiled) == expected
-    assert signature(parallel_interpreted) == expected

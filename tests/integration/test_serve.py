@@ -255,20 +255,6 @@ class TestServeCli:
         assert payload["serve"]["submissions"] == 1
 
 
-class TestDaemonParallelJobs:
-    def test_jobs_pool_from_prover_thread_uses_spawn_safely(
-            self, tmp_path):
-        """The threaded-fork regression, end to end: a daemon prover
-        thread fanning out with --jobs must not deadlock (it silently
-        falls back to spawn)."""
-        with VerificationServer(ServeOptions(
-                store=str(tmp_path / "store"), jobs=2)) as daemon:
-            with ServeClient(daemon.address, timeout=600) as client:
-                client.hello()
-                verdict = client.submit(car.SOURCE)
-        assert verdict["all_proved"]
-
-
 class TestDeadlinesOverTheWire:
     def test_expired_deadline_returns_partial_verdict(self, server):
         with ServeClient(server.address, timeout=300) as client:

@@ -1,9 +1,9 @@
 """Differential testing of the symbolic caching layer: memoized
 simplification and solver query caching must be semantically invisible.
 
-For every builtin kernel, caches-on and caches-off runs — serial and
-parallel — must produce identical per-property verdicts, checker
-approvals, derivation keys, and error text.  The derivation key pins the
+For every builtin kernel, caches-on and caches-off runs must produce
+identical per-property verdicts, checker approvals, derivation keys,
+and error text.  The derivation key pins the
 *whole derivation*, so this asserts the caches never change which proof
 is found, not merely whether one is.
 """
@@ -33,23 +33,3 @@ def test_caching_is_semantically_invisible(name):
     assert signature(cached) == expected
     assert cached.all_proved
 
-
-@pytest.mark.parametrize("name", ["ssh2", "browser3"])
-def test_caching_is_invisible_in_parallel(name):
-    """The worker pool initializer resets per-process intern tables and
-    honours ``term_cache``; verdicts must not depend on either."""
-    spec = BENCHMARKS[name].load()
-
-    serial_uncached = Verifier(
-        spec, ProverOptions(term_cache=False)
-    ).verify_all()
-    parallel_cached = Verifier(
-        spec, ProverOptions(term_cache=True)
-    ).verify_all(jobs=2)
-    parallel_uncached = Verifier(
-        spec, ProverOptions(term_cache=False)
-    ).verify_all(jobs=2)
-
-    expected = signature(serial_uncached)
-    assert signature(parallel_cached) == expected
-    assert signature(parallel_uncached) == expected

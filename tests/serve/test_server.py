@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro.prover import Verifier
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import recv_message, send_message
 from repro.serve.residue import residue_for
 from repro.serve.server import (
@@ -430,6 +432,16 @@ class TestDeadlines:
         server._process_batch([self.expired(server, car.SOURCE)])
         assert car.SOURCE not in server._verdict_cache
 
+    def test_expired_group_leaves_the_invalidation_index_untouched(
+            self, server):
+        server._process_batch([submission(server, car.SOURCE)])
+        before = (server.invalidation.digests(), len(server.invalidation))
+        assert before[1] > 0
+        edited = car.SOURCE.replace('"crank it up"', '"a bit louder"')
+        server._process_batch([self.expired(server, edited)])
+        assert (server.invalidation.digests(),
+                len(server.invalidation)) == before
+
     def test_distinct_deadlines_do_not_coalesce(self, server):
         plain = submission(server, car.SOURCE)
         rushed = self.expired(server, car.SOURCE)
@@ -485,13 +497,74 @@ class TestBreakerDegradedServing:
 
     def test_closed_breaker_serves_normally_again(self, server):
         self.trip(server)
-        server.breaker.record_success()  # a probe healed the backend
+        server.breaker.record_success()  # a half-open trial succeeded
         sub = submission(server, car.SOURCE)
         server._process_batch([sub])
         verdict = drain(sub.replies)[0]
         assert "degraded" not in verdict
         assert verdict["all_proved"] is True
         assert sub.session.rounds == 1
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+class TestBreakerRecovery:
+    """Only a half-open trial closes the breaker: while the prover keeps
+    failing, it stays open for its whole cooldown."""
+
+    def test_breaker_stays_open_until_a_trial_succeeds(
+            self, tmp_path, monkeypatch):
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "ps"), breaker_threshold=1,
+            breaker_cooldown=30.0,
+        ))
+        clock = FakeClock()
+        server.breaker = CircuitBreaker(threshold=1, cooldown=30.0,
+                                        clock=clock)
+
+        def broken(self):
+            raise RuntimeError("the prover is broken")
+
+        monkeypatch.setattr(Verifier, "verify_all", broken)
+
+        def submit():
+            sub = submission(server, car.SOURCE)
+            server._process_batch([sub])
+            return drain(sub.replies)[-1]
+
+        assert submit()["code"] == "internal-error"
+        assert server.breaker.state == "open"
+        # Watch for longer than spawning a process and running a trivial
+        # task takes: nothing but a trial may close the breaker.
+        watch_until = time.monotonic() + 4.0
+        while time.monotonic() < watch_until:
+            assert server.breaker.state == "open"
+            time.sleep(0.05)
+        assert submit()["degraded"] is True
+        assert server.telemetry.counters["serve.internal_error"] == 1
+
+        clock.advance(30.1)  # the cooldown is over: one trial runs
+        assert submit()["code"] == "internal-error"
+        assert server.breaker.state == "open"
+        assert server.telemetry.counters["serve.internal_error"] == 2
+        assert submit()["degraded"] is True
+
+        clock.advance(30.1)
+        monkeypatch.undo()  # the prover works again
+        verdict = submit()
+        assert verdict["type"] == "verdict"
+        assert verdict["all_proved"] is True
+        assert "degraded" not in verdict
+        assert server.breaker.state == "closed"
 
 
 class TestClientDrops:
@@ -703,7 +776,7 @@ class TestHealthFrame:
         assert frame["type"] == "health"
         assert frame["status"] == "ok"
         assert {c["name"] for c in frame["checks"]} \
-            == {"breaker", "backlog", "flush", "pool", "slo"}
+            == {"breaker", "backlog", "flush", "slo"}
         assert frame["sampler"]["errors"] == 0
 
     def test_open_breaker_degrades_then_recovers(self, server):

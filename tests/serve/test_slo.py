@@ -47,7 +47,7 @@ class TestVerdicts:
         )
         assert health["status"] == "ok"
         assert {c["name"] for c in health["checks"]} \
-            == {"breaker", "backlog", "flush", "pool", "slo"}
+            == {"breaker", "backlog", "flush", "slo"}
         assert all(c["status"] == "ok" for c in health["checks"])
 
     def test_verdict_is_the_worst_check(self):
@@ -102,7 +102,7 @@ class TestBacklogCheck:
         assert status(10) == "unhealthy"  # shedding
 
 
-class TestFlushAndPoolChecks:
+class TestFlushCheck:
     def test_flush_errors_in_window_degrade(self):
         health = compute_health(
             HealthPolicy(slo_p99_ms=None),
@@ -112,22 +112,6 @@ class TestFlushAndPoolChecks:
         )
         assert check(health, "flush")["status"] == "degraded"
         assert health["status"] == "degraded"
-
-    def test_worker_deaths_degrade_but_recycling_does_not(self):
-        dead = compute_health(
-            HealthPolicy(slo_p99_ms=None),
-            breaker=BREAKER_CLOSED,
-            admission=ADMISSION_QUIET,
-            series=series_with({"parallel.worker_died": 1}),
-        )
-        assert check(dead, "pool")["status"] == "degraded"
-        routine = compute_health(
-            HealthPolicy(slo_p99_ms=None),
-            breaker=BREAKER_CLOSED,
-            admission=ADMISSION_QUIET,
-            series=series_with({"parallel.pool_recycled": 3}),
-        )
-        assert check(routine, "pool")["status"] == "ok"
 
 
 class TestSloCheck:

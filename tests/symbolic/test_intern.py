@@ -115,25 +115,26 @@ class TestResetSafety:
         finally:
             reset_interning()
 
-    def test_pool_worker_reinterning_round_trip(self):
-        """The pool-worker contract end to end: terms pickled in the
-        parent (warm table, warm compiled plans) must unpickle in a
-        worker that reset its table into representatives with identical
-        structure, ``hash`` and ``term_hash`` — and the reset must not
-        leave a compiled plan pinning the parent generation's term
-        graph (the regression: stale plans mixed pre- and post-reset
-        representatives, so "equal" terms stopped being identical)."""
+    def test_reinterning_round_trip_across_a_reset(self):
+        """The cache-generation contract end to end: terms pickled
+        under a warm table and warm compiled plans (as proof-store
+        entries are) must unpickle after a reset into representatives
+        with identical structure, ``hash`` and ``term_hash`` — and the
+        reset must not leave a compiled plan pinning the old
+        generation's term graph (the regression: stale plans mixed pre-
+        and post-reset representatives, so "equal" terms stopped being
+        identical)."""
         from repro.symbolic import compile as symcompile
         from repro.systems import ssh2
 
         spec = ssh2.load()
         digest = pickle.dumps(spec.program).hex()[:16]
         plan = symcompile.plan_for(digest)
-        plan.seed_step(object())  # pin something plan-side, as a parent does
+        plan.record_result("pinned", "trace", object())  # plan-side state
         shipped = [pickle.dumps(t) for t in _samples()]
         expected = [(t, hash(t), t.term_hash) for t in _samples()]
 
-        reset_interning()  # what _init_worker does in the pool
+        reset_interning()  # what the serve daemon's governor does
         try:
             assert symcompile.cache_sizes()["compile.plans.size"] == 0
             # A plan fetched after the reset is a fresh object: nothing
