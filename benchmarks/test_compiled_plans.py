@@ -22,7 +22,6 @@ import time
 
 from repro.prover import ProverOptions, Verifier
 from repro.symbolic import cache as symcache
-from repro.symbolic import compile as symcompile
 from repro.systems import BENCHMARKS
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -44,7 +43,6 @@ def _signature(report):
 def _series(spec, compile_plans: bool):
     """(seconds per round, signature) — cold caches at the start."""
     symcache.clear_all()
-    symcompile.clear_plans()
     times, signature = [], None
     for _ in range(ROUNDS):
         start = time.perf_counter()

@@ -1,24 +1,22 @@
-"""End-to-end benchmark of the symbolic caching and compiled-plan layers.
+"""End-to-end benchmark of the symbolic caching layer.
 
 Repeated ``verify_all`` runs (a fresh :class:`Verifier` per iteration,
 mirroring incremental re-verification) on the two deepest kernels, in
-three configurations:
+two configurations, both on the interpreting executor
+(``compile_plans=False``):
 
-* **uncached** — term caches off, compiled plans off: every round
-  re-simplifies, re-queries, and re-walks the handler ASTs;
-* **baseline** — term caches on, compiled plans off: the memoized
-  simplifier and solver query cache, the state of the repo before
-  compiled plans landed;
-* **compiled** — term caches on, compiled plans on: the first round
-  compiles each handler path into closure form and records hot verdicts
-  process-wide, so warm rounds execute plans instead of re-walking ASTs.
+* **uncached** — term caches off: every round re-simplifies and
+  re-queries the solver;
+* **baseline** — term caches on: the memoized simplifier and solver
+  query cache, which warm rounds hit.
 
 Full mode asserts the ≥1.5× cached-over-uncached speedup the caching
-layer is sold on *and* the ≥3× compiled-over-baseline speedup of the
-compiled-plan hot path; quick mode (``REPRO_BENCH_QUICK=1``, the CI
-smoke job) only asserts neither layer makes verification slower.
-Timings and speedups land in ``benchmarks/results/symbolic_caching.json``
-and a rendered table beside it.
+layer is sold on; quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke job)
+only asserts the layer does not make verification slower.  The
+compiled executor is measured against the interpreter by
+``benchmarks/test_compiled_plans.py``.  Timings and speedups land in
+``benchmarks/results/symbolic_caching.json`` and a rendered table beside
+it.
 """
 
 import json
@@ -27,33 +25,30 @@ import time
 
 from repro.prover import ProverOptions, Verifier
 from repro.symbolic import cache as symcache
-from repro.symbolic import compile as symcompile
 from repro.systems import BENCHMARKS
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 KERNELS = ("ssh2", "browser3")
 ROUNDS = 3 if QUICK else 7
-#: Quick mode runs on noisy shared CI runners: only insist the layers do
-#: not make verification slower.  Full mode holds the headline claims.
+#: Quick mode runs on noisy shared CI runners: only insist the layer
+#: does not make verification slower.  Full mode holds the headline
+#: claim.
 REQUIRED_CACHE_SPEEDUP = 1.0 if QUICK else 1.5
-REQUIRED_COMPILE_SPEEDUP = 1.0 if QUICK else 3.0
 
 CONFIGS = (
     ("uncached", dict(term_cache=False, compile_plans=False)),
     ("baseline", dict(term_cache=True, compile_plans=False)),
-    ("compiled", dict(term_cache=True, compile_plans=True)),
 )
 
 
 def _series(spec, **options) -> list:
     """Seconds per ``verify_all`` round, coldest caches first.
 
-    Both process-wide layers are cleared up front — the term/query memo
-    tables *and* the compiled-plan cache — so each configuration pays
-    its own cold start and earns its own warm rounds.
+    The process-wide term/query memo tables are cleared up front, so
+    each configuration pays its own cold start and earns its own warm
+    rounds.
     """
     symcache.clear_all()
-    symcompile.clear_plans()
     times = []
     for _ in range(ROUNDS):
         start = time.perf_counter()
@@ -65,16 +60,15 @@ def _series(spec, **options) -> list:
 
 def _render(rows) -> str:
     lines = [
-        "symbolic caching + compiled plans: verify_all seconds "
+        "symbolic caching: verify_all seconds "
         f"(best of {ROUNDS} rounds)",
-        f"{'kernel':<10} {'uncached':>10} {'baseline':>10} "
-        f"{'compiled':>10} {'cache':>8} {'compile':>8}",
+        f"{'kernel':<10} {'uncached':>10} {'baseline':>10} {'cache':>8}",
     ]
     for row in rows:
         lines.append(
             f"{row['kernel']:<10} {row['uncached_best']:>10.4f} "
-            f"{row['baseline_best']:>10.4f} {row['compiled_best']:>10.4f} "
-            f"{row['cache_speedup']:>7.2f}x {row['compile_speedup']:>7.2f}x"
+            f"{row['baseline_best']:>10.4f} "
+            f"{row['cache_speedup']:>7.2f}x"
         )
     return "\n".join(lines)
 
@@ -89,14 +83,12 @@ def test_caching_speedup(results_dir, record_table):
             row[f"{label}_seconds"] = series
             row[f"{label}_best"] = min(series)
         row["cache_speedup"] = row["uncached_best"] / row["baseline_best"]
-        row["compile_speedup"] = row["baseline_best"] / row["compiled_best"]
         rows.append(row)
 
     payload = {
         "benchmark": "symbolic_caching",
         "quick": QUICK,
         "required_cache_speedup": REQUIRED_CACHE_SPEEDUP,
-        "required_compile_speedup": REQUIRED_COMPILE_SPEEDUP,
         "kernels": rows,
     }
     (results_dir / "symbolic_caching.json").write_text(
@@ -108,9 +100,4 @@ def test_caching_speedup(results_dir, record_table):
     assert best_cache >= REQUIRED_CACHE_SPEEDUP, (
         f"caching speedup {best_cache:.2f}x below the required "
         f"{REQUIRED_CACHE_SPEEDUP}x (see symbolic_caching.json)"
-    )
-    best_compile = max(row["compile_speedup"] for row in rows)
-    assert best_compile >= REQUIRED_COMPILE_SPEEDUP, (
-        f"compiled-plan speedup {best_compile:.2f}x below the required "
-        f"{REQUIRED_COMPILE_SPEEDUP}x (see symbolic_caching.json)"
     )

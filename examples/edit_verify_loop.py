@@ -5,7 +5,7 @@ The paper's workflow (sections 6.3/6.4): write a kernel, push the
 button, read the failure, fix, push again — with re-runs cheap enough to
 live in the inner loop.  This example runs one full cycle of that loop
 as a *daemon client* (``repro serve``): the server process keeps the
-intern table, the compiled proof plans and the proof store warm across
+intern table, the symbolic memos and the proof store warm across
 submissions, so the client pays only for what each edit actually
 changed.
 

@@ -530,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable memoized simplification and solver "
                              "query caching (terms are still interned)")
     verify.add_argument("--no-compile", action="store_true",
-                        help="disable compiled proof plans (interpret "
-                             "symbolic steps per obligation; escape hatch "
-                             "— verdicts and derivations are identical "
+                        help="build the symbolic step with the "
+                             "interpreting executor and without prefix-"
+                             "batched solver queries (escape hatch — "
+                             "verdicts and derivations are identical "
                              "either way)")
     verify.add_argument("-c", "--counterexample", action="store_true",
                         help="print candidate counterexamples on failure")

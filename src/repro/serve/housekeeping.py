@@ -1,20 +1,19 @@
 """Generation-aware eviction for a long-lived prover process.
 
-The one-shot CLI never worried about unbounded growth: the intern table,
-the simplify/DNF/solver memos and the compiled-plan LRU all die with the
-process.  A daemon verifying thousands of *unrelated* kernels would grow
-them without bound — ``reset_interning()`` and ``clear_plans()`` exist
-but nothing long-lived ever called them.
+The one-shot CLI never worried about unbounded growth: the intern table
+and the simplify/DNF/solver memos die with the process.  A daemon
+verifying thousands of *unrelated* kernels would grow them without
+bound — ``reset_interning()`` exists but nothing long-lived ever called
+it.
 
 :class:`CacheGovernor` is that caller.  Between batches (never while a
 verification is in flight — the caller guarantees quiescence) it checks
 the intern-table population against a budget and, past it, starts a new
-*generation*: the intern table is reset (which also drops the compiled
-plans pinning its terms — the PR 6 stale-generation contract) and the
-simplify/DNF/solver memos are cleared.  Warm reuse survives collection
-through the persistent proof store: entries unpickle into the fresh
-generation's table, so a collected daemon gets slower for exactly one
-round per kernel, never wrong.
+*generation*: the intern table is reset and the simplify/DNF/solver
+memos are cleared with it.  Warm reuse survives collection through the
+persistent proof store: entries unpickle into the fresh generation's
+table, so a collected daemon gets slower for exactly one round per
+kernel, never wrong.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ class CacheGovernor:
 
     def collect(self) -> None:
         """Start a new generation unconditionally: reset the intern
-        table (dropping compiled plans with it) and clear the
-        simplify/DNF/solver memos."""
+        table and clear the simplify/DNF/solver memos."""
         from ..symbolic import cache as symcache
         from ..symbolic.expr import intern_table_size, reset_interning
 

@@ -1,8 +1,8 @@
 """The verification daemon: warm, concurrent, incremental, overload-safe.
 
 One process hosts everything the prover keeps warm — the intern table,
-the compiled proof plans, the symbolic memo caches and a shared
-content-addressed proof store — and serves verification over a socket.
+the symbolic memo caches and a shared content-addressed proof store —
+and serves verification over a socket.
 Clients hold *sessions*: a client submits kernel source, the daemon
 parses it, computes fragment-level dependency digests, and the engine's
 fragment-grained search re-proves only the obligations whose content
@@ -14,13 +14,12 @@ Concurrency model (deliberate, and load-bearing for soundness):
 * one **connection thread per client** does framing I/O only — it never
   touches the intern table or any symbolic state;
 * one **prover thread** owns all parsing and verification.  The
-  symbolic layer (intern table, memo caches, compiled plans) is
-  process-global and not thread-safe; funnelling every submission
-  through one thread makes that a non-issue and gives request
-  *batching* for free: the prover drains whatever is queued, groups
-  identical sources, and coalesces them into one ``verify_all`` pass
-  whose verdict fans out to every waiting session
-  (``serve.batch.coalesced``);
+  symbolic layer (intern table, memo caches) is process-global and
+  not thread-safe; funnelling every submission through one thread
+  makes that a non-issue and gives request *batching* for free: the
+  prover drains whatever is queued, groups identical sources, and
+  coalesces them into one ``verify_all`` pass whose verdict fans out
+  to every waiting session (``serve.batch.coalesced``);
 * between batches — a quiescent point by construction — the
   :class:`~repro.serve.housekeeping.CacheGovernor` may start a new
   cache generation, so thousands of unrelated kernels cannot grow the
@@ -136,7 +135,7 @@ class ServeOptions:
     #: UNIX-socket path (overrides host/port when set)
     socket_path: Optional[str] = None
     #: shared proof-store directory (``None`` disables persistence —
-    #: warm reuse then rides on compiled plans only)
+    #: every submission is then searched afresh)
     store: Optional[str] = None
     #: intern-table budget for the cache governor
     max_intern_terms: int = DEFAULT_MAX_INTERN_TERMS

@@ -91,9 +91,6 @@ def sizes() -> Dict[str, int]:
     out = {"term.intern.size": intern_table_size()}
     out.update(simplify_sizes())
     out.update(solver_sizes())
-    from . import compile as _compile
-
-    out.update(_compile.cache_sizes())
     return out
 
 

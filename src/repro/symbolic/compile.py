@@ -1,15 +1,14 @@
-"""Compiled symbolic plans: the closure-compiled prover hot path.
+"""Compiled symbolic plans: the closure-compiled step executor.
 
-The interpretive pipeline re-walks handler ASTs once per
-:class:`~repro.prover.engine.Verifier` — every ``verify_all`` round pays
-the full symbolic evaluation of every handler again, even when the
-program has not changed.  This module compiles each handler body once
-into a *step program* — a tree of closures with the per-node constant
-work (literal lifting, field-index resolution, name routing, pattern
-tests) lowered at compile time — and keys the resulting
-:class:`CompiledPlan` on the program's content digest in a
-process-wide cache, so repeated verification of the same kernel
-executes plans instead of interpreting ASTs.
+This module compiles each handler body into a *step program* — a tree
+of closures with the per-node constant work (literal lifting,
+field-index resolution, name routing, pattern tests) lowered at compile
+time — and runs it in place of the AST-walking
+:func:`repro.symbolic.seval.sym_exec`.  :class:`CompiledPlan` builds a
+kernel's :class:`~repro.symbolic.behabs.GenericStep` with it; the
+engine builds that step once per
+:class:`~repro.prover.engine.Verifier` and keeps it there, so nothing
+here outlives a verification.
 
 Equivalence contract: for every program, the compiled executor produces
 the *same terms in the same order* as :func:`repro.symbolic.seval.sym_exec`
@@ -18,26 +17,10 @@ the *same terms in the same order* as :func:`repro.symbolic.seval.sym_exec`
 so obligation keys, derivations and derivation keys are preserved
 bit-for-bit.  The all-kernel compile-vs-interpret differential tests
 are the net; ``--no-compile`` is the escape hatch.
-
-A :class:`CompiledPlan` also carries the per-kernel memos the engine
-consults on its hot path:
-
-* the built :class:`~repro.symbolic.behabs.GenericStep` (shared across
-  ``Verifier`` instances);
-* hot verdict payloads for already-discharged obligations, keyed by
-  their content-addressed obligation key (successes only; the engine
-  still replays the checker over served derivations).
-
-``reset_interning`` clears the whole plan cache: a plan holds interned
-terms, and mixing term generations would silently degrade the identity
-fast paths.
 """
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -426,94 +409,16 @@ def compiled_executor(info: ProgramInfo) -> Callable:
     return run
 
 
-# ---------------------------------------------------------------------------
-# The per-kernel compiled plan and its process-wide cache
-# ---------------------------------------------------------------------------
-
-#: Bound on cached hot verdict payloads per plan.
-_RESULT_LIMIT = 1024
-
-
-@dataclass
 class CompiledPlan:
-    """Everything the engine reuses across verifications of one kernel."""
+    """Builds one kernel's symbolic step with the compiled executor.
 
-    digest: str
-    _step: Optional[object] = None
-    _results: "OrderedDict[str, Tuple[str, object]]" = field(
-        default_factory=OrderedDict
-    )
+    Keeps no memo: the engine builds the step once per ``Verifier`` and
+    holds it there (:meth:`repro.prover.engine.Verifier.generic_step`).
+    """
 
     def step_for(self, info: ProgramInfo):
-        """The (memoized) :class:`GenericStep`, built with the compiled
-        executor on first use."""
-        if self._step is None:
-            from .behabs import generic_step
+        """The :class:`~repro.symbolic.behabs.GenericStep` of ``info``'s
+        program, built with :func:`compiled_executor`."""
+        from .behabs import generic_step
 
-            with obs.span("compile.plan", program=info.program.name):
-                registry = obs.metrics_active()
-                if registry is None:
-                    self._step = generic_step(
-                        info, executor=compiled_executor(info)
-                    )
-                else:
-                    started = time.perf_counter()
-                    self._step = generic_step(
-                        info, executor=compiled_executor(info)
-                    )
-                    registry.observe("compile.seconds",
-                                     time.perf_counter() - started)
-            obs.incr("compile.plan.build")
-        return self._step
-
-    def cached_result(self, key: str) -> Optional[Tuple[str, object]]:
-        """The hot verdict payload for an obligation key, if recorded."""
-        hit = self._results.get(key)
-        if hit is None:
-            obs.incr("compile.result.miss")
-            return None
-        obs.incr("compile.result.hit")
-        self._results.move_to_end(key)
-        return hit
-
-    def record_result(self, key: str, kind: str, payload: object) -> None:
-        """Record a successfully discharged obligation's payload."""
-        self._results[key] = (kind, payload)
-        while len(self._results) > _RESULT_LIMIT:
-            self._results.popitem(last=False)
-
-
-#: Process-wide plans keyed by program content digest (bounded LRU).
-_PLANS: "OrderedDict[str, CompiledPlan]" = OrderedDict()
-_PLAN_LIMIT = 8
-
-
-def plan_for(digest: str) -> CompiledPlan:
-    """The compiled plan for a program digest (created on first use)."""
-    plan = _PLANS.get(digest)
-    if plan is None:
-        obs.incr("compile.plan.miss")
-        plan = CompiledPlan(digest)
-        _PLANS[digest] = plan
-        while len(_PLANS) > _PLAN_LIMIT:
-            _PLANS.popitem(last=False)
-    else:
-        obs.incr("compile.plan.hit")
-        _PLANS.move_to_end(digest)
-    return plan
-
-
-def clear_plans() -> None:
-    """Drop every compiled plan (``reset_interning`` calls this: plans
-    hold interned terms and must not outlive the intern table)."""
-    _PLANS.clear()
-
-
-def cache_sizes() -> Dict[str, int]:
-    """Entry counts folded into ``repro verify --profile`` output."""
-    return {
-        "compile.plans.size": len(_PLANS),
-        "compile.results.size": sum(
-            len(plan._results) for plan in _PLANS.values()
-        ),
-    }
+        return generic_step(info, executor=compiled_executor(info))

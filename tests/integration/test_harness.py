@@ -1,10 +1,12 @@
 """The evaluation harness must regenerate every table/figure with the
 paper's shape claims intact (the quantitative reproduction contract)."""
 
+import time
+
 import pytest
 
 from repro.harness import ablation, effort, figure6, table1, utility
-from repro.prover import ProverOptions
+from repro.prover import ProverOptions, Verifier
 
 
 class TestFigure6:
@@ -32,6 +34,23 @@ class TestFigure6:
         rendered = figure6.render_figure6(rows)
         assert "41/41" in rendered
         assert "Succesful login enables pseudo-terminal creation" in rendered
+
+    def test_rows_exclude_the_step_build(self, monkeypatch):
+        """No row pays for building its benchmark's symbolic step."""
+        delay = 0.3
+        build = Verifier._build_step
+
+        def slow_build(verifier):
+            time.sleep(delay)
+            return build(verifier)
+
+        monkeypatch.setattr(Verifier, "_build_step", slow_build)
+        rows = figure6.run_figure6(ProverOptions(check_proofs=False))
+        slowest = max(rows, key=lambda row: row.our_seconds)
+        assert slowest.our_seconds < delay, (
+            f"{slowest.benchmark}/{slowest.property_name} took "
+            f"{slowest.our_seconds:.3f}s"
+        )
 
 
 class TestTable1:

@@ -12,23 +12,11 @@ as a chosen search call returns, never by sleeping.
 
 import time
 
-import pytest
-
 from repro import obs
 from repro.props.spec import NonInterference
 from repro.prover import DEADLINE_MESSAGE, ProverOptions, Verifier, engine
 from repro.prover.proofstore import ProofStore
-from repro.symbolic import compile as symcompile
 from repro.systems import BENCHMARKS
-
-
-@pytest.fixture(autouse=True)
-def _cold_plans():
-    """Hot results from earlier runs would answer obligations without
-    calling the search functions these tests hook."""
-    symcompile.clear_plans()
-    yield
-    symcompile.clear_plans()
 
 
 def expire_after(monkeypatch, verifier, name, prop_name, prop_of):
@@ -72,7 +60,6 @@ class TestBetweenProperties:
             spec, ProverOptions(deadline=time.monotonic() + 600.0),
         ).verify_all()
         assert all(result.proved for result in report.results)
-        symcompile.clear_plans()
         assert signature(report) \
             == signature(Verifier(spec).verify_all())
 
@@ -128,13 +115,11 @@ class TestBetweenObligations:
         # A run without a deadline reuses it and proves everything,
         # with the same derivations as a run without a store.
         monkeypatch.undo()
-        symcompile.clear_plans()
         with obs.use(obs.Telemetry()) as telemetry:
             rerun = Verifier(spec, ProverOptions(proof_store=store)) \
                 .verify_all()
         assert rerun.all_proved
         assert telemetry.counters.get("trace.fragment.hit", 0) >= 1
-        symcompile.clear_plans()
         assert signature(rerun) == signature(Verifier(spec).verify_all())
 
     def test_interrupted_and_skipped_properties_are_counted_apart(

@@ -1,13 +1,17 @@
 """Tests for the verification engine: options, caching, reports."""
 
+from collections import Counter
+
 import pytest
 
+from repro import obs
 from repro.props import (
     NonInterference, TraceProperty, comp_pat, msg_pat, recv_pat, send_pat,
     specify,
 )
-from repro.prover import ProverOptions, Verifier, prove, verify
+from repro.prover import ProverOptions, Verifier, engine, prove, verify
 from repro.symbolic import compile as symcompile
+from repro.systems import BENCHMARKS
 
 
 def props():
@@ -75,10 +79,6 @@ class TestOptionConfigurations:
         assert verifier.generic_step() is not verifier.generic_step()
 
     def test_subproof_cache_populated(self, ssh_info):
-        # Drop the process-wide compiled plans: their hot result cache
-        # (warmed by earlier tests) would serve the derivation without
-        # searching, leaving the subproof cache legitimately empty.
-        symcompile.clear_plans()
         verifier = Verifier(specify(ssh_info, props()[0]))
         verifier.verify_all()
         assert verifier._invariant_cache  # the SSH invariant was cached
@@ -88,6 +88,47 @@ class TestOptionConfigurations:
                             ProverOptions(cache_subproofs=False))
         verifier.verify_all()
         assert not verifier._invariant_cache
+
+
+class TestObservedRunsTakeTheSamePath:
+    """A telemetry sink changes what a run records, never what it runs:
+    every ``verify_all()`` searches and builds its step afresh."""
+
+    SEARCHES = ("prove_trace_property", "check_ni_base",
+                "check_ni_exchange")
+
+    def test_observed_and_unobserved_runs_make_the_same_calls(
+            self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in self.SEARCHES:
+            monkeypatch.setattr(engine, name,
+                                counted(name, getattr(engine, name)))
+        monkeypatch.setattr(
+            symcompile.CompiledPlan, "step_for",
+            counted("step_for", symcompile.CompiledPlan.step_for),
+        )
+        spec = BENCHMARKS["browser"].load()
+
+        def run():
+            calls.clear()
+            assert Verifier(spec).verify_all().all_proved
+            return dict(calls)
+
+        first = run()
+        second = run()
+        with obs.use(obs.Telemetry()):
+            observed = run()
+        assert set(first) == set(self.SEARCHES) | {"step_for"}
+        assert first["step_for"] == 1
+        assert second == first
+        assert observed == first
 
 
 class TestNIIntegration:

@@ -7,12 +7,10 @@ program's abstraction.
 
 import hashlib
 
-import pytest
-
 from repro.frontend import parse_program
 from repro.prover import ProverOptions
 from repro.prover.incremental import IncrementalVerifier
-from repro.systems import browser, car, ssh2
+from repro.systems import car, ssh2
 
 
 class TestCaching:
@@ -121,14 +119,10 @@ class TestFragmentInvalidation:
     def test_handler_edit_reproves_only_dependent_fragments(self, tmp_path):
         from repro import obs
         from repro.prover.engine import Verifier
-        from repro.symbolic import compile as symcompile
 
         opts = ProverOptions(proof_store=str(tmp_path))
         assert Verifier(ssh2.load(), opts).verify_all().all_proved
 
-        # Fresh process-level caches: the second round must go through the
-        # store, not the in-process compiled-plan hot results.
-        symcompile.clear_plans()
         telemetry = obs.Telemetry()
         with obs.use(telemetry):
             report = Verifier(self.edited_ssh2(), opts).verify_all()
@@ -143,11 +137,9 @@ class TestFragmentInvalidation:
 
     def test_unedited_program_serves_whole_proofs_from_store(self, tmp_path):
         from repro.prover.engine import Verifier
-        from repro.symbolic import compile as symcompile
 
         opts = ProverOptions(proof_store=str(tmp_path))
         Verifier(ssh2.load(), opts).verify_all()
-        symcompile.clear_plans()
         again = Verifier(ssh2.load(), opts).verify_all()
         assert all(r.source == "store" for r in again.results)
 
@@ -155,7 +147,6 @@ class TestFragmentInvalidation:
         """A revalidated derivation is re-filed under the *new* program's
         keys, so a later cold run never repeats the replay."""
         from repro.prover.engine import Verifier
-        from repro.symbolic import compile as symcompile
 
         opts = ProverOptions(proof_store=str(tmp_path))
         iv = IncrementalVerifier(opts)
@@ -163,7 +154,6 @@ class TestFragmentInvalidation:
         report = iv.verify(self.edited_ssh2())
         assert report.counts()["revalidated"] == 2
 
-        symcompile.clear_plans()
         cold = Verifier(self.edited_ssh2(), opts).verify_all()
         assert all(r.source == "store" for r in cold.results)
 

@@ -1,7 +1,7 @@
 """Cache-governor tests: a long-lived process stays memory-bounded.
 
 The regression being pinned down: before the governor existed, nothing
-long-lived ever called ``reset_interning()``/``clear_plans()``, so a
+long-lived ever called ``reset_interning()``, so a
 daemon verifying a stream of distinct kernels grew the intern table and
 the memo caches without bound.  And — modeled on the PR 6
 stale-generation regression — a collection must be *invisible* to every

@@ -7,6 +7,7 @@ testable without any socket nondeterminism.  End-to-end socket coverage
 lives in ``tests/integration/test_serve.py``.
 """
 
+import itertools
 import queue
 import socket
 import struct
@@ -662,11 +663,14 @@ class TestSessionResumption:
 class TestRequestTracing:
     """submit_id propagation and the per-submission latency breakdown."""
 
-    @staticmethod
-    def admitted(server, source, **kwargs):
-        """A submission stamped the way ``_dispatch`` stamps it."""
+    _submit_ids = itertools.count(1)
+
+    @classmethod
+    def admitted(cls, server, source, **kwargs):
+        """A submission stamped the way ``_dispatch`` stamps it, with
+        an id no other submission of the run shares."""
         sub = submission(server, source, **kwargs)
-        sub.submit_id = f"sub-{id(sub) % 1000}"
+        sub.submit_id = f"sub-{next(cls._submit_ids)}"
         sub.received_at = time.monotonic() - 0.010
         sub.admitted_at = sub.received_at + 0.002
         return sub
