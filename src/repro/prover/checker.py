@@ -224,22 +224,22 @@ def ni_proof_complaints(step: GenericStep, proof: NIProof) -> List[str]:
 def _check_occurrence_list(ctx: OccurrenceContext, occurrence_proofs,
                            where: str) -> List[str]:
     complaints: List[str] = []
-    expected = occurrences(ctx.scheme.trigger, ctx.actions)
+    expected = {occ.index: occ
+                for occ in occurrences(ctx.scheme.trigger, ctx.actions)}
     proved = {op.occurrence.index: op for op in occurrence_proofs}
-    for occ in expected:
-        op = proved.get(occ.index)
-        if op is None:
-            complaints.append(
-                f"{where}: trigger occurrence at action #{occ.index} has "
-                f"no justification"
-            )
-            continue
-        if op.occurrence != occ:
-            complaints.append(
-                f"{where}: recorded occurrence at #{occ.index} differs "
-                f"from the actual match"
-            )
-            continue
-        for complaint in validate_justification(ctx, occ, op.justification):
-            complaints.append(f"{where} action #{occ.index}: {complaint}")
+    for index in sorted(expected.keys() | proved.keys()):
+        occ, op = expected.get(index), proved.get(index)
+        if occ is None:
+            complaints.append(f"{where}: justification for action #{index}, "
+                              f"which is not a trigger occurrence")
+        elif op is None:
+            complaints.append(f"{where}: trigger occurrence at action "
+                              f"#{index} has no justification")
+        elif op.occurrence != occ:
+            complaints.append(f"{where}: recorded occurrence at #{index} "
+                              f"differs from the actual match")
+        else:
+            complaints.extend(f"{where} action #{index}: {complaint}"
+                              for complaint in validate_justification(
+                                  ctx, occ, op.justification))
     return complaints

@@ -68,6 +68,7 @@ from .derivation import (
     BoundedSpec,
     InvariantProof,
     InvariantSpec,
+    SkippedExchange,
     StepProof,
     TracePropertyProof,
 )
@@ -83,6 +84,8 @@ from .ni import (
 from .obligations import scheme_of
 from .pipeline import Obligation, plan_property
 from .proofstore import (
+    NI_OBLIGATION,
+    TRACE_FRAGMENT,
     ProofStore,
     Rendered,
     StoreEntry,
@@ -92,12 +95,14 @@ from .proofstore import (
     fingerprint,
     fingerprint_with,
     obligation_key,
+    scoped_part,
 )
 from .trace_tactics import (
     TacticContext,
     prove_trace_base,
     prove_trace_exchange,
     prove_trace_property,
+    syntactic_skip,
 )
 
 
@@ -259,8 +264,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-#: A fragment slice: ``None`` for the base case (declarations + Init),
-#: an exchange key ``(ctype, msg)`` for one handler's inductive case.
+#: A slice: ``None`` for the base case (declarations + Init), an
+#: exchange key ``(ctype, msg)`` for one handler's inductive case.
 Part = Optional[Tuple[str, str]]
 
 
@@ -269,10 +274,11 @@ class KeyTable:
 
     A :class:`Verifier` owns one table, so the table lives and dies with
     one verification — one daemon submission.  A store-backed
-    verification needs a fragment key for every trace property × every
-    slice, in the fragment search and again for the invalidation index,
-    and each slice shares the declarations + Init text, so rendering per
-    key would make hashing the bulk of a daemon submit.  Here:
+    verification needs a slice-scoped key for every property × every
+    slice — trace fragments in the fragment search and again for the
+    invalidation index, NI obligations in the plan — and each slice
+    shares the declarations + Init text, so rendering per key would
+    make hashing the bulk of a daemon submit.  Here:
 
     * the declarations, the Init block and each handler are rendered
       once, and the program digest and every slice digest are built
@@ -299,8 +305,8 @@ class KeyTable:
         self._slices: Optional[Dict[Part, str]] = None
         #: id(property) → (property, its rendering)
         self._props: Dict[int, Tuple[Property, Rendered]] = {}
-        #: (id(property), part, is a fragment key) → key
-        self._keys: Dict[Tuple[int, Part, bool], str] = {}
+        #: (id(property), part, slice marker or None) → key
+        self._keys: Dict[Tuple[int, Part, Optional[str]], str] = {}
 
     def _rendered_fields(self) -> Dict[str, Rendered]:
         """The program's declarations, Init block and handlers, each
@@ -327,8 +333,8 @@ class KeyTable:
         return self._program_digest
 
     def slice_digests(self) -> Dict[Part, str]:
-        """The dependency digest of every fragment slice: the base slice
-        under ``None``, then one entry per exchange of the kernel."""
+        """The dependency digest of every slice: the base slice under
+        ``None``, then one entry per exchange of the kernel."""
         if self._slices is None:
             program = self.program
             fields = self._rendered_fields()
@@ -353,9 +359,13 @@ class KeyTable:
         return hit[1]
 
     def obligation_key(self, prop: Property, part: Part) -> str:
-        """The content address of one obligation of ``prop`` (see
+        """The content address of one pipeline obligation of ``prop``:
+        a whole trace derivation keyed by the program digest, an NI
+        obligation keyed by its slice (see
         :func:`~repro.prover.proofstore.obligation_key`)."""
-        memo = (id(prop), part, False)
+        if isinstance(prop, NonInterference):
+            return self._scoped_key(prop, part, NI_OBLIGATION)
+        memo = (id(prop), part, None)
         key = self._keys.get(memo)
         if key is None:
             key = self._keys[memo] = obligation_key(
@@ -367,12 +377,15 @@ class KeyTable:
     def fragment_key(self, prop: TraceProperty, part: Part) -> str:
         """The content address of one trace-proof *fragment* (the base
         case for ``part=None``, one exchange's inductive case
-        otherwise).  Scoped by the slice digest instead of the
-        whole-program digest, so editing one handler only re-keys the
-        fragments that syntactically depend on it.  Distinct from every
-        whole-obligation key: the ``part`` tag carries a ``trace-frag``
-        marker."""
-        memo = (id(prop), part, True)
+        otherwise), keyed by its slice, so editing one handler only
+        re-keys the fragments that syntactically depend on it."""
+        return self._scoped_key(prop, part, TRACE_FRAGMENT)
+
+    def _scoped_key(self, prop: Property, part: Part, marker: str) -> str:
+        """``prop``'s key for the slice ``part``: the slice digest
+        instead of the program digest, and a ``part`` tag that starts
+        with ``marker`` (see :func:`~repro.prover.proofstore.scoped_part`)."""
+        memo = (id(prop), part, marker)
         key = self._keys.get(memo)
         if key is None:
             scope = self.slice_digests().get(part)
@@ -380,10 +393,9 @@ class KeyTable:
                 # Not an exchange of this kernel (a step of an adopted
                 # proof): the reference definition still keys it.
                 scope = dependency_digest(self.program, part)
-            tag = ("trace-frag",) if part is None \
-                else ("trace-frag",) + tuple(part)
             key = self._keys[memo] = obligation_key(
-                scope, self._rendered(prop), self.options, tag,
+                scope, self._rendered(prop), self.options,
+                scoped_part(marker, part),
             )
         return key
 
@@ -635,7 +647,9 @@ class Verifier:
         Without a proof store this is one monolithic
         :func:`prove_trace_property` call.  With a store, the derivation
         is searched *fragment by fragment* (base case + one fragment per
-        exchange), and each fragment is first looked up under its
+        exchange).  An exchange the §6.4 syntactic skip settles is
+        decided first, from syntax alone, and never touches the store.
+        Every other fragment is first looked up under its
         dependency-scoped key and revalidated through the independent
         checker before reuse — so an incremental edit to one handler
         re-proves only the fragments whose dependency slice changed (or
@@ -679,6 +693,12 @@ class Verifier:
 
     def _fragment_exchange(self, tc, prop: TraceProperty, scheme,
                            step: GenericStep, ex) -> List[StepProof]:
+        # A syntactic skip is decided from syntax alone, so it never
+        # costs a store read, a write or a revalidation; the check stage
+        # still validates it in the assembled derivation.
+        skip = syntactic_skip(tc, scheme, ex)
+        if skip is not None:
+            return [skip]
         key = self.keys.fragment_key(prop, ex.key)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-step"
@@ -702,7 +722,9 @@ class Verifier:
         """Persist an externally validated derivation (the incremental
         harness's revalidation path) under the current obligation key
         and its fragments under their dependency-scoped keys, so later
-        runs serve it from the store."""
+        runs serve it from the store.  A fragment that holds only a
+        syntactic skip is not filed: the fragment search decides skips
+        before it consults the store."""
         if self._store is None:
             return
         (ob,) = self.plan(prop)
@@ -715,6 +737,8 @@ class Verifier:
         for sp in proof.steps:
             by_exchange.setdefault(sp.exchange_key, []).append(sp)
         for ex_key, parts in by_exchange.items():
+            if all(isinstance(sp, SkippedExchange) for sp in parts):
+                continue
             self._store.put(StoreEntry(
                 self.keys.fragment_key(prop, ex_key), "trace-step",
                 tuple(parts), True,

@@ -16,9 +16,12 @@ automation.  This module makes the re-run cheap, soundly:
 
 Soundness is free: reuse happens only when the trusted checker accepts
 the old derivation against the *new* program's abstraction.  The search
-is skipped, never the check.  Non-interference results are re-checked
-directly (for NI, checking *is* the proof), so NI reuse only applies to
-byte-identical programs.
+is skipped, never the check.  Non-interference results are never
+replayed (for NI, checking *is* the proof): an edited program's NI
+property is proved again.  With a proof store, each of its obligations
+whose slice is byte-identical — the base and every exchange but the
+edited handler's — is served under its slice-scoped key instead (see
+:func:`repro.prover.proofstore.dependency_digest`).
 
 Revalidation is exactly the pipeline's *check* stage
 (:meth:`repro.prover.engine.Verifier.check_trace_derivation`); when the

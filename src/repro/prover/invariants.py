@@ -494,8 +494,8 @@ def validate_invariant(step: GenericStep, proof: InvariantProof) -> List[str]:
                     f"path {path_index}"
                 )
                 continue
-            expected = _prove_case(step, spec, ex, path)
             if not _case_acceptable(step, spec, ex, path, case):
+                expected = _prove_case(step, spec, ex, path)
                 complaints.append(
                     f"invalid case {case!r} at {ex.ctype}=>{ex.msg} "
                     f"path {path_index} (expected like {expected!r})"

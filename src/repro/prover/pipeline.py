@@ -7,19 +7,20 @@ separately cacheable:
   the program.  Planning is *syntactic*: a trace property is one
   obligation; an NI property is a base obligation plus one obligation per
   ``(component type, message)`` exchange of the kernel (read off
-  ``Program.exchange_keys()`` — no symbolic step needed), which is what
-  lets the parallel driver fan NI work out before any worker has built
-  the :class:`~repro.symbolic.behabs.GenericStep`.
+  ``Program.exchange_keys()`` — no symbolic step needed).
 * **search** — discharge one obligation, emitting a derivation fragment
   (a :class:`~repro.prover.derivation.TracePropertyProof`, the NI base
   notes, or one exchange's :class:`~repro.prover.ni.PathVerdict` group).
 * **check** — validate the assembled derivation through
   :mod:`repro.prover.checker`, independently of how it was found.
 
-Every obligation carries a stable content-addressed ``key`` (program AST
+Every obligation carries a stable content-addressed ``key`` (scope digest
 + property + derivation-relevant options + part, see
 :mod:`repro.prover.proofstore`), which is the identity under which the
-persistent proof store files its result.
+persistent proof store files its result.  A trace obligation's scope is
+the whole program; an NI obligation's is its slice — the declarations,
+the Init block and, for an exchange, that one handler — so an edit to
+one handler re-keys only that handler's NI obligation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from typing import Callable, Optional, Tuple
 from .. import obs
 from ..lang.errors import ProofSearchFailure
 from ..props.spec import NonInterference, Property, TraceProperty
-from .proofstore import digest, obligation_key
+from .proofstore import (
+    NI_OBLIGATION,
+    dependency_digest,
+    digest,
+    obligation_key,
+    scoped_part,
+)
 
 #: Obligation kinds, in the order they are planned.
 TRACE = "trace"
@@ -65,10 +72,15 @@ def plan_property(program: object, prop: Property, options: object,
 
     ``key_for`` may supply a memoized obligation-key computation (the
     verifier's :class:`~repro.prover.engine.KeyTable`); it must return
-    exactly what :func:`~repro.prover.proofstore.obligation_key` would.
-    Without it every key is computed from the program's digest.
+    exactly what the reference definitions below would.  Without it a
+    trace key is computed from the program's digest and an NI key from
+    its slice's :func:`~repro.prover.proofstore.dependency_digest`.
     """
-    if key_for is None:
+    if key_for is None and isinstance(prop, NonInterference):
+        def key_for(part: Optional[Tuple[str, str]]) -> str:
+            return obligation_key(dependency_digest(program, part), prop,
+                                  options, scoped_part(NI_OBLIGATION, part))
+    elif key_for is None:
         pd = digest(program)
 
         def key_for(part: Optional[Tuple[str, str]]) -> str:

@@ -1,11 +1,13 @@
 """Persistent, content-addressed storage of checked derivations.
 
 Every proof obligation of the pipeline carries a stable key: the SHA-256
-of a canonical rendering of (program AST, property, derivation-relevant
-:class:`~repro.prover.engine.ProverOptions`, obligation part).  The store
-is a directory of pickled :class:`StoreEntry` files, one per key, so
-repeated ``verify``/``bench`` runs — and the incremental harness — reuse
-checked subproofs across processes.
+of a canonical rendering of (scope digest, property, derivation-relevant
+:class:`~repro.prover.engine.ProverOptions`, obligation part).  The scope
+is the whole program for a whole trace derivation, and one *slice* of
+it (:func:`dependency_digest`) for a trace-proof fragment or an NI
+obligation.  The store is a directory of pickled :class:`StoreEntry`
+files, one per key, so repeated ``verify``/``bench`` runs — and the
+incremental harness — reuse checked subproofs across processes.
 
 Canonicalization matters: ``repr`` of a ``frozenset`` (e.g. an NI
 property's ``high_vars``) depends on ``PYTHONHASHSEED``, so
@@ -15,10 +17,12 @@ processes therefore always agree on the key of the same obligation.
 Trust story (see DESIGN.md): the store is *outside* the trusted base.
 Trace derivations loaded from the store are replayed through the
 independent checker against the current abstraction before they are
-accepted; NI records (whose search *is* the check) carry the checker
-approval in-band (``StoreEntry.checked``) and are re-validated for
-coverage by :func:`repro.prover.checker.ni_proof_complaints`.  A corrupt
-or truncated entry is treated as a miss and re-proved, never trusted.
+accepted.  NI records (whose search *is* the check) carry the checker
+approval in-band (``StoreEntry.checked``) and are re-validated only for
+coverage by :func:`repro.prover.checker.ni_proof_complaints`, so their
+reuse rests on the key: an NI entry is served only for a byte-identical
+slice (see :func:`dependency_digest`).  A corrupt or truncated entry is
+treated as a miss and re-proved, never trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .. import obs
 
 #: Bump to invalidate every stored entry on a format change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: The ``part`` markers of the slice-scoped keys (see :func:`scoped_part`).
+TRACE_FRAGMENT = "trace-frag"
+NI_OBLIGATION = "ni"
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +186,20 @@ def digest(value: object) -> str:
     return hashlib.sha256(fingerprint(value).encode("utf-8")).hexdigest()
 
 
-def obligation_key(program_digest: str, prop: object, options: object,
-                   part: Optional[Tuple[str, str]] = None) -> str:
+def obligation_key(scope_digest: str, prop: object, options: object,
+                   part: object = None) -> str:
     """The content address of one proof obligation.
 
-    ``program_digest`` is :func:`digest` of the program AST (computed
-    once per program and shared by every obligation); ``part`` names a
-    sub-obligation within the property — ``None`` for a whole trace
-    property or the NI base condition, an exchange key ``(ctype, msg)``
-    for one NI exchange.  Only the derivation-relevant options
-    (``syntactic_skip``, which changes the shape of the emitted proof)
-    participate.
+    ``scope_digest`` is :func:`digest` of the program AST for a whole
+    trace derivation, and the :func:`dependency_digest` of one slice for
+    a slice-scoped key (a trace-proof fragment or an NI obligation,
+    whose ``part`` is a :func:`scoped_part`).  Only the
+    derivation-relevant options (``syntactic_skip``, which changes the
+    shape of the emitted proof) participate.
     """
     material = "\x1f".join([
         f"reflex-obligation-v{FORMAT_VERSION}",
-        program_digest,
+        scope_digest,
         fingerprint(prop),
         f"syntactic_skip={getattr(options, 'syntactic_skip', True)}",
         f"part={part!r}",
@@ -200,20 +207,43 @@ def obligation_key(program_digest: str, prop: object, options: object,
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def scoped_part(marker: str,
+                part: Optional[Tuple[str, str]]) -> Tuple[str, ...]:
+    """The ``part`` of a slice-scoped key: its kind's ``marker``
+    (:data:`TRACE_FRAGMENT` or :data:`NI_OBLIGATION`), then the exchange
+    key for an exchange's slice (nothing more for the base slice).  The
+    marker keeps it distinct from every whole-program key."""
+    return (marker,) if part is None else (marker,) + tuple(part)
+
+
 def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
-    """Digest of the program slice one trace-proof *fragment* depends on.
+    """Digest of one slice of the program: what one trace-proof
+    *fragment* or one NI obligation depends on.
 
-    Fragment keys (see ``Verifier._fragment_key``) substitute this for
-    the whole-program digest so that editing one handler only re-keys the
-    fragments whose slice actually changed: the base case depends on the
-    declarations and the Init block; an exchange's inductive case depends
-    on those plus its own handler.
+    The base slice (``part=None``) is the declarations and the Init
+    block; an exchange's slice is those plus its own handler.  Fragment
+    keys and NI obligation keys (see
+    :class:`~repro.prover.engine.KeyTable`) substitute this for the
+    whole-program digest, so editing one handler only re-keys the
+    entries whose slice actually changed.
 
-    This is an *invalidation heuristic*, not a soundness boundary — a
-    fragment may also lean on other handlers through secondary-induction
-    invariants, which is why every fragment loaded from the store is
-    replayed through the independent checker against the current
-    abstraction before it is accepted (and re-proved when rejected).
+    What the slice *means* differs by key kind:
+
+    * for a trace fragment it is an *invalidation heuristic*, not a
+      soundness boundary — a fragment may also lean on other handlers
+      through secondary-induction invariants, which is why every
+      fragment loaded from the store is replayed through the independent
+      checker against the current abstraction before it is accepted
+      (and re-proved when rejected);
+    * for an NI obligation it *is* a soundness boundary: the checker
+      re-validates only the coverage of NI verdicts, never their
+      content.  It holds because ``check_ni_base`` and
+      ``check_ni_exchange`` read only the slice (component and message
+      declarations, global types, the pre-state and Init, and the one
+      handler), the property and the options, and because
+      :func:`~repro.symbolic.behabs.generic_step` names each exchange's
+      terms from its own supply: an unchanged slice yields byte-identical
+      terms and therefore the same verdicts.
     """
     components = getattr(program, "components", ())
     messages = getattr(program, "messages", ())

@@ -165,20 +165,33 @@ def prove_trace_base(tc: TacticContext, prop: TraceProperty,
     return BaseProof(tuple(base_proofs))
 
 
+def syntactic_skip(tc: TacticContext, scheme: Scheme,
+                   ex: Exchange) -> Optional[SkippedExchange]:
+    """The §6.4 syntactic skip of one exchange's inductive case: its
+    :class:`SkippedExchange` record (counted as
+    ``tactic.exchange.skipped``) when the trigger cannot match anything
+    the exchange emits, else ``None``.  Decided from syntax alone, so
+    the engine's store-backed search asks it before the store."""
+    body = ex.handler.body if ex.handler is not None else None
+    if not (tc.syntactic_skip and exchange_statically_silent(
+        [scheme.trigger], ex.ctype, ex.msg, body
+    )):
+        return None
+    obs.incr("tactic.exchange.skipped")
+    return SkippedExchange(
+        ex.key, "trigger cannot match anything this exchange emits"
+    )
+
+
 def prove_trace_exchange(tc: TacticContext, prop: TraceProperty,
                          scheme: Scheme,
                          ex: Exchange) -> List[StepProof]:
     """The inductive case for one exchange: a syntactic skip, or one
     :class:`PathProof` per symbolic path (one storable fragment)."""
+    skip = syntactic_skip(tc, scheme, ex)
+    if skip is not None:
+        return [skip]
     step = tc.step
-    body = ex.handler.body if ex.handler is not None else None
-    if tc.syntactic_skip and exchange_statically_silent(
-        [scheme.trigger], ex.ctype, ex.msg, body
-    ):
-        obs.incr("tactic.exchange.skipped")
-        return [SkippedExchange(
-            ex.key, "trigger cannot match anything this exchange emits"
-        )]
     obs.incr("tactic.exchange.expanded")
     steps: List[StepProof] = []
     for path_index, path in enumerate(ex.paths):

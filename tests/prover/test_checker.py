@@ -93,6 +93,29 @@ class TestTampering:
         with pytest.raises(ProofCheckFailure):
             check_trace_proof(step, tampered)
 
+    def test_justification_for_absent_occurrence_rejected(self, proved):
+        """A path proof may not justify an action the path does not
+        have: a stale derivation whose path grew shorter must not
+        revalidate (the store-order disagreement this guards against
+        chained such a justification through a nested lemma)."""
+        step, proof = proved
+        i, path_proof = self.find_path_proof_with_occurrence(proof)
+        extra = path_proof.occurrence_proofs[0]
+        beyond = len(step.exchange(*path_proof.exchange_key)
+                     .paths[path_proof.path_index].actions)
+        padded = replace(path_proof, occurrence_proofs=(
+            path_proof.occurrence_proofs
+            + (replace(extra, occurrence=replace(extra.occurrence,
+                                                 index=beyond)),)
+        ))
+        tampered = replace(
+            proof, steps=proof.steps[:i] + (padded,) + proof.steps[i + 1:]
+        )
+        with pytest.raises(ProofCheckFailure,
+                           match=f"action #{beyond}, which is not a "
+                                 f"trigger occurrence"):
+            check_trace_proof(step, tampered)
+
     def test_missing_path_case_rejected(self, proved):
         step, proof = proved
         i, _ = self.find_path_proof_with_occurrence(proof)

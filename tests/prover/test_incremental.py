@@ -105,35 +105,61 @@ class TestBreakingEdit:
 class TestFragmentInvalidation:
     """Dependency-tracked invalidation: editing one handler re-proves only
     the fragments whose dependency-scoped keys changed; every other
-    fragment is served from the proof store (after checker revalidation).
+    fragment is served from the proof store (after checker revalidation)
+    or settled by the syntactic skip before the store is consulted.
     """
 
     EDIT = 'send(CT, CountReq(user, pass));'
     EDITED = 'send(CT, CountReq(user, pass ++ ""));'
+    #: The Counter=>CountOk handler emits the trigger of
+    #: AttemptsApprovedByCounter (and nothing AuthBeforeTerm's can match).
+    TRIGGER_EDIT = 'send(P, CheckAuth(user, pass));'
+    TRIGGER_EDITED = 'send(P, CheckAuth(user, pass ++ ""));'
 
-    def edited_ssh2(self):
-        source = ssh2.SOURCE.replace(self.EDIT, self.EDITED)
+    def edited_ssh2(self, old=EDIT, new=EDITED):
+        source = ssh2.SOURCE.replace(old, new)
         assert source != ssh2.SOURCE
         return parse_program(source)
 
-    def test_handler_edit_reproves_only_dependent_fragments(self, tmp_path):
+    def fragment_counters(self, tmp_path, edited):
+        """Fill a store with ssh2, verify ``edited`` through it, and
+        return the counters of the second run plus its fragment count."""
         from repro import obs
         from repro.prover.engine import Verifier
 
         opts = ProverOptions(proof_store=str(tmp_path))
         assert Verifier(ssh2.load(), opts).verify_all().all_proved
 
-        telemetry = obs.Telemetry()
-        with obs.use(telemetry):
-            report = Verifier(self.edited_ssh2(), opts).verify_all()
-        assert report.all_proved
-        counters = telemetry.counters
-        # One fragment per property covers the edited Connection=>ReqAuth
-        # handler; only those two are re-searched.  Every other fragment
-        # keeps its dependency key and revalidates from the store.
-        assert counters.get("trace.fragment.searched") == 2
-        assert counters.get("trace.fragment.hit", 0) >= 70
+        verifier = Verifier(edited, opts)
+        with obs.use(obs.Telemetry()) as telemetry:
+            assert verifier.verify_all().all_proved
+        fragments = sum(len(verifier.fragment_keys(prop))
+                        for prop in edited.trace_properties())
+        return telemetry.counters, fragments
+
+    def test_handler_edit_reproves_only_dependent_fragments(self, tmp_path):
+        counters, fragments = self.fragment_counters(
+            tmp_path, self.edited_ssh2())
+        # The edited Connection=>ReqAuth handler emits nothing either
+        # property's trigger can match, so syntax settles both of its
+        # fragments; every other fragment keeps its dependency key and is
+        # answered by the store or by syntax.  Nothing is searched.
+        assert "trace.fragment.searched" not in counters
         assert "trace.fragment.invalid" not in counters
+        assert counters["trace.fragment.hit"] \
+            + counters["tactic.exchange.skipped"] == fragments
+
+    def test_trigger_matching_edit_researches_exactly_its_fragments(
+            self, tmp_path):
+        counters, fragments = self.fragment_counters(
+            tmp_path,
+            self.edited_ssh2(self.TRIGGER_EDIT, self.TRIGGER_EDITED))
+        # One fragment covers the edited handler and is not a syntactic
+        # skip: AttemptsApprovedByCounter's Counter=>CountOk case.
+        assert counters.get("trace.fragment.searched") == 1
+        assert "trace.fragment.invalid" not in counters
+        assert counters["trace.fragment.hit"] \
+            + counters["tactic.exchange.skipped"] == fragments - 1
 
     def test_unedited_program_serves_whole_proofs_from_store(self, tmp_path):
         from repro.prover.engine import Verifier
@@ -156,6 +182,56 @@ class TestFragmentInvalidation:
 
         cold = Verifier(self.edited_ssh2(), opts).verify_all()
         assert all(r.source == "store" for r in cold.results)
+
+
+class TestNIObligationInvalidation:
+    """NI obligations are keyed by their slice: a handler edit re-searches
+    that handler's NI exchange obligation only, and an Init edit — part
+    of every slice — re-searches all of them."""
+
+    def searched_ni_parts(self, monkeypatch, spec, opts):
+        """The NI obligations a store-backed verify of ``spec`` searched:
+        ``None`` for the base condition, else the exchange key."""
+        from repro.prover import engine
+
+        searched = []
+        base, exchange = engine.check_ni_base, engine.check_ni_exchange
+
+        def counting_base(step, labeling):
+            searched.append(None)
+            return base(step, labeling)
+
+        def counting_exchange(step, labeling, ex):
+            searched.append(ex.key)
+            return exchange(step, labeling, ex)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "check_ni_base", counting_base)
+            patched.setattr(engine, "check_ni_exchange", counting_exchange)
+            assert engine.Verifier(spec, opts).verify_all().all_proved
+        return searched
+
+    def test_handler_edit_researches_one_ni_exchange(self, tmp_path,
+                                                     monkeypatch):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        exchanges = list(car.load().program.exchange_keys())
+        assert self.searched_ni_parts(monkeypatch, car.load(), opts) \
+            == [None] + exchanges
+        edited = parse_program(
+            car.SOURCE.replace('"crank it up"', '"a bit louder"'))
+        assert self.searched_ni_parts(monkeypatch, edited, opts) \
+            == [("Engine", "Accelerating")]
+
+    def test_init_edit_researches_every_ni_obligation(self, tmp_path,
+                                                      monkeypatch):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        self.searched_ni_parts(monkeypatch, car.load(), opts)
+        source = car.SOURCE.replace("crashed = false;",
+                                    "crashed = false;\n    spare = 0;")
+        assert source != car.SOURCE
+        edited = parse_program(source)
+        assert self.searched_ni_parts(monkeypatch, edited, opts) \
+            == [None] + list(edited.program.exchange_keys())
 
 
 def _key(name):

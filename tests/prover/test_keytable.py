@@ -15,7 +15,7 @@ import pytest
 from repro.lang import ast
 from repro.lang.validate import validate
 from repro.lang.values import TRUE
-from repro.prover import ProverOptions, Verifier, proofstore
+from repro.prover import ProverOptions, Verifier, plan_property, proofstore
 from repro.prover.incremental import InvalidationMap
 from repro.prover.proofstore import (
     dependency_digest,
@@ -23,7 +23,7 @@ from repro.prover.proofstore import (
     digest,
     obligation_key,
 )
-from repro.props.spec import specify
+from repro.props.spec import NonInterference, specify
 from repro.systems import BENCHMARKS
 
 
@@ -74,13 +74,27 @@ class TestKeysMatchTheReference:
                 )
 
     def test_plan_keys(self, spec):
+        """A trace obligation is keyed by the program digest; an NI
+        obligation by its slice, with an ``ni`` tag.  The plan's
+        fallback without the table gives the same keys."""
         options = ProverOptions(syntactic_skip=False)
         verifier = Verifier(spec, options)
         program_digest = digest(spec.program)
         for prop in spec.properties:
-            for ob in verifier.plan(prop):
-                assert ob.key == obligation_key(program_digest, prop,
-                                                options, ob.part)
+            planned = verifier.plan(prop)
+            assert planned == plan_property(spec.program, prop, options)
+            for ob in planned:
+                if isinstance(prop, NonInterference):
+                    tag = ("ni",) if ob.part is None \
+                        else ("ni", *ob.part)
+                    reference = obligation_key(
+                        dependency_digest(spec.program, ob.part), prop,
+                        options, tag,
+                    )
+                else:
+                    reference = obligation_key(program_digest, prop,
+                                               options, ob.part)
+                assert ob.key == reference
 
     def test_derivation_keys(self, spec):
         for result in Verifier(spec).verify_all().results:

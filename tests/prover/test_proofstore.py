@@ -156,8 +156,8 @@ class TestGoldenKeys:
     PROGRAM = "aaeaf3b0b9d3e718513c28509fe9a0f4f3cca56a491ceb31ccb8a9c05774ef45"
     BASE_SLICE = "b5592466f636906cc7a18e2ffa9fdd8e12c38a285071672f337920f0caaf7a92"
     TRIP_SLICE = "d362b42723f5f0cffa40a82315652f0dc60e2cdc7a8873c89ac0c1417f11f383"
-    TRIP_FRAGMENT = "495e27d6842d87952230d817b071befeddf869c7f7ec9b42392b9deafc5ae247"
-    NI_TRIP = "6b6c9636a017c12d4488474ba11319c2fa838014ea6bacf15172a11b439ba019"
+    TRIP_FRAGMENT = "b6a5cca86e480f0608617fa16652718bc456c815b5e4d96d92c9316aa5bed191"
+    NI_TRIP = "8fd5af894801077f8a7a8d21e738f227130b64c1fd10782e58895c253a1c3f6a"
     RING_ON_TRIP_DERIVATION = (
         "7d4790defad79faec1a5985601778d8e400e349eac68426d5cc993ba9067a7f6"
     )
@@ -190,8 +190,8 @@ class TestGoldenKeys:
         prop = spec.property_named("SensorQuiet")
         keys = {ob.part: ob.key for ob in Verifier(spec).plan(prop)}
         assert keys[("Sensor", "Trip")] == self.NI_TRIP
-        assert obligation_key(self.PROGRAM, prop, ProverOptions(),
-                              ("Sensor", "Trip")) == self.NI_TRIP
+        assert obligation_key(self.TRIP_SLICE, prop, ProverOptions(),
+                              ("ni", "Sensor", "Trip")) == self.NI_TRIP
 
     def test_derivation_key(self, tmp_path):
         spec = self._spec()
