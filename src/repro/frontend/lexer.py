@@ -3,12 +3,17 @@
 The token stream feeds the recursive-descent parser in
 :mod:`repro.frontend.parser`.  Tokens carry positions so that syntax errors
 point at the offending source text.
+
+One compiled regular expression (:data:`_SCAN`) does the scanning: at
+each position it skips blanks and comments, then matches one newline,
+string opening quote, number, word or operator.  String literals, with
+their escapes, are scanned by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+import re
+from typing import List, NamedTuple, Tuple
 
 from ..lang.errors import ReflexSyntaxError
 
@@ -29,9 +34,23 @@ KEYWORDS = frozenset({
     "Send", "Recv", "Spawn", "Select", "Call",
 })
 
+#: Blanks and comments, then one token or nothing.  A number is decimal
+#: digits only (``int`` reads every ``\d``; ``'²'.isdigit()`` is true,
+#: but ``int('²')`` fails).  A word starts with a letter, or is ``_``
+#: followed by a word character (a lone ``_`` is the wildcard
+#: operator); ``[^\W\d_]`` also admits non-letter numerals such as
+#: ``'²'``, so :func:`tokenize` rejects a word that starts with one.
+_SCAN = re.compile(
+    r"(?:[ \t\r]+|(?:#|//)[^\n]*)*"
+    r"(?:(?P<newline>\n)"
+    r"|(?P<string>\")"
+    r"|(?P<number>\d+)"
+    r"|(?P<word>[^\W\d_]\w*|_\w+)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + r"))?"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "number" | "string" | "op" | "eof"
     text: str
     line: int
@@ -46,71 +65,43 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``; raises :class:`ReflexSyntaxError` on bad input."""
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    scan = _SCAN.match
+    new = tuple.__new__  # Token(...) without the Python-level __new__
+    line, line_start, pos = 1, 0, 0
+    while True:
+        match = scan(source, pos)
+        kind = match.lastgroup
+        if kind is None:
+            pos = match.end()
+            if pos == len(source):
+                break
+            raise ReflexSyntaxError(f"unexpected character {source[pos]!r}",
+                                    line, pos - line_start + 1)
+        start, pos = match.span(kind)
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        col = start - line_start + 1
+        if kind == "string":
+            text, consumed = _scan_string(source, start, line, col)
+            append(new(Token, ("string", text, line, col)))
+            pos = start + consumed
             continue
-        if ch == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            text, consumed = _scan_string(source, i, line, col)
-            tokens.append(Token("string", text, line, col))
-            i += consumed
-            col += consumed
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("number", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_" and _is_ident_start(source, i):
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        matched = _match_operator(source, i)
-        if matched is not None:
-            tokens.append(Token("op", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        raise ReflexSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        text = source[start:pos]
+        if kind == "word":
+            if text in KEYWORDS:
+                kind = "keyword"
+            elif text[0].isalpha() or text[0] == "_":
+                kind = "ident"
+            else:
+                raise ReflexSyntaxError(
+                    f"unexpected character {text[0]!r}", line, col
+                )
+        append(new(Token, (kind, text, line, col)))
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
-
-
-def _is_ident_start(source: str, i: int) -> bool:
-    """A lone ``_`` is the wildcard operator; ``_foo`` is an identifier."""
-    return i + 1 < len(source) and (
-        source[i + 1].isalnum() or source[i + 1] == "_"
-    )
-
-
-def _match_operator(source: str, i: int) -> Optional[str]:
-    for op in OPERATORS:
-        if source.startswith(op, i):
-            return op
-    return None
 
 
 def _scan_string(source: str, start: int, line: int,

@@ -274,11 +274,11 @@ class KeyTable:
 
     A :class:`Verifier` owns one table, so the table lives and dies with
     one verification — one daemon submission.  A store-backed
-    verification needs a slice-scoped key for every property × every
-    slice — trace fragments in the fragment search and again for the
-    invalidation index, NI obligations in the plan — and each slice
-    shares the declarations + Init text, so rendering per key would
-    make hashing the bulk of a daemon submit.  Here:
+    verification needs slice-scoped keys — trace fragments in the
+    fragment search, NI obligations in the plan, and the same keys
+    again for the invalidation index (:meth:`scoped_keys`) — and each
+    slice shares the declarations + Init text, so rendering per key
+    would make hashing the bulk of a daemon submit.  Here:
 
     * the declarations, the Init block and each handler are rendered
       once, and the program digest and every slice digest are built
@@ -398,6 +398,19 @@ class KeyTable:
                 scoped_part(marker, part),
             )
         return key
+
+    def scoped_keys(self) -> Dict[Part, List[str]]:
+        """The slice-scoped keys computed so far, by the slice of this
+        kernel they depend on, in computation order.  A store-backed
+        search computes a fragment key only to look it up, so these are
+        the fragments it consulted the store for — never a syntactic
+        skip's — plus every NI obligation its plans named."""
+        slices = self.slice_digests()
+        out: Dict[Part, List[str]] = {}
+        for (_, part, marker), key in self._keys.items():
+            if marker is not None and part in slices:
+                out.setdefault(part, []).append(key)
+        return out
 
 
 class Verifier:
@@ -632,9 +645,11 @@ class Verifier:
         ``prop`` (see :meth:`KeyTable.fragment_key`): the base case
         under ``None`` plus one entry per exchange of the kernel.
 
-        Purely syntactic (no symbolic step is built), so callers — the
-        incremental invalidation map, the serve daemon — can enumerate
-        what an edit invalidates without paying for verification.
+        Purely syntactic (no symbolic step is built), so a caller can
+        enumerate a property's fragment keys without verifying anything.
+        It also keys fragments the search never stores (syntactic
+        skips), and the table keeps them: :meth:`KeyTable.scoped_keys`
+        lists them too once this has run.
         """
         return {
             part: self.keys.fragment_key(prop, part)

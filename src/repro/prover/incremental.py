@@ -92,9 +92,9 @@ class InvalidationMap:
 
     Maps each fragment's dependency digest to the content-addressed
     obligation/fragment keys that were filed under it (see
-    :meth:`Verifier.fragment_keys`): when a submission changes a
-    handler, the digests that disappeared name exactly the stored keys
-    the edit superseded — everything else is servable as-is.  The serve
+    :meth:`record_program`): when a submission changes a handler, the
+    digests that disappeared name exactly the stored keys the edit
+    superseded — everything else is servable as-is.  The serve
     daemon keeps one instance for all its sessions; access is
     thread-safe.
 
@@ -148,17 +148,17 @@ class InvalidationMap:
             self._keys.pop(fragment_digest, None)
 
     def record_program(self, verifier: Verifier) -> None:
-        """File every trace-property fragment key of ``verifier``'s
-        program under its slice digest (one call per submission; both
-        come from the verifier's key table, so keys the verification
-        already computed are not computed again)."""
-        props = verifier.spec.trace_properties()
-        if not props:
+        """File the slice-scoped keys ``verifier`` used with its proof
+        store under their slice digests (one call per submission): the
+        trace fragments it looked up — a syntactic skip never is — and
+        its NI obligations.  They come from the verifier's key table,
+        so filing computes no key.  Without a store nothing is filed."""
+        if not verifier.options.proof_store:
             return
         table = verifier.keys
-        for part, digest_ in table.slice_digests().items():
-            self._file(digest_, [table.fragment_key(prop, part)
-                                 for prop in props])
+        digests = table.slice_digests()
+        for part, keys in table.scoped_keys().items():
+            self._file(digests[part], keys)
 
     def keys_for(self, fragment_digest: str) -> FrozenSet[str]:
         """The obligation keys filed under one slice digest."""

@@ -23,7 +23,18 @@ Concurrency model (deliberate, and load-bearing for soundness):
 * between batches — a quiescent point by construction — the
   :class:`~repro.serve.housekeeping.CacheGovernor` may start a new
   cache generation, so thousands of unrelated kernels cannot grow the
-  process without bound.
+  process without bound;
+* the prover thread hands each frame to its connection thread through
+  the waiter's reply queue and goes straight on to the next group.
+  The woken connection thread still needs the GIL, which CPython takes
+  from a busy thread only after its switch interval (5 ms by default),
+  so at the default a verdict can wait that long before it is sent.
+  :meth:`VerificationServer.start` lowers the process's switch interval
+  to :data:`_SWITCH_INTERVAL_S`.  Idle connection threads block in
+  ``recv`` or on their queue and do not ask for the GIL, so the prover
+  thread is interrupted only while a frame is waiting to be sent.
+  Socket writes stay on the connection threads: a slow client never
+  blocks verification.
 
 Resilience model (the PR 9 layer):
 
@@ -61,6 +72,7 @@ import json
 import os
 import queue
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -110,6 +122,11 @@ _VERDICT_CACHE_CAP = 128
 #: Per-submission latency breakdowns retained for the stats payload
 #: (``repro report`` renders them as the "recent submissions" table).
 _RECENT_SUBMISSIONS = 32
+
+#: The interpreter switch interval the daemon runs with, in seconds: how
+#: long a connection thread with a verdict to send may wait for the GIL
+#: while the prover thread works (see "Concurrency model" above).
+_SWITCH_INTERVAL_S = 0.0005
 
 
 def _env_float(name: str) -> Optional[float]:
@@ -354,6 +371,8 @@ class VerificationServer:
             self.address = listener.getsockname()[:2]
         listener.listen(128)
         self._listener = listener
+        sys.setswitchinterval(min(sys.getswitchinterval(),
+                                  _SWITCH_INTERVAL_S))
         if self.options.events_out:
             self.telemetry.events.bind(self.options.events_out)
         if self.options.store is not None:
@@ -806,15 +825,11 @@ class VerificationServer:
             )
             # One key table per submission: the slice digests and keys
             # the verification computed serve the session diff and the
-            # invalidation index too.  A group that ran out of budget
-            # skips the index: filling it means computing every
-            # property's fragment keys after the deadline has passed,
-            # and the index only feeds later verdicts'
-            # ``invalidated_keys`` count.
+            # invalidation index too, so filing computes nothing, also
+            # for a group its deadline cut short.
             program_digest = verifier.program_digest()
             digests = verifier.keys.slice_digests()
-            if not deadline_expired:
-                self.invalidation.record_program(verifier)
+            self.invalidation.record_program(verifier)
         wall = time.perf_counter() - started
         residue = residue_for(report)
         counters = dict(sink.counters)

@@ -2,7 +2,7 @@
 library error — never an internal exception."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import parse_program
@@ -13,6 +13,9 @@ from repro.systems import ssh
 class TestArbitraryInput:
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
+    # '²'.isdigit() is true, but int('²') raises ValueError.
+    @example('program p { components { A "a" {} } messages { M(num); } '
+             'init { x = ²; } }')
     def test_random_text_never_crashes(self, text):
         try:
             parse_program(text)

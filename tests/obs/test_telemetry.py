@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import random
 
 import pytest
 
@@ -140,6 +141,39 @@ class TestSpanCap:
         payload = parent.to_dict()
         assert payload["spans_total"] == 3
         assert abs(payload["stage_seconds"]["task"] - 1.5) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_retention_matches_a_plain_reference(self, seed):
+        """Through ``record`` and ``merge_export``, with repeated
+        durations, the sink keeps the ``max_spans`` largest spans by
+        (seconds, arrival) — the oldest goes on a tie — and lists them
+        in arrival order; ``to_dict`` lists them slowest first."""
+        rng = random.Random(seed)
+        cap = rng.randint(1, 6)
+        sink = obs.Telemetry(max_spans=cap)
+        arrived = []
+        for step in range(rng.randint(0, 40)):
+            if rng.random() < 0.3:
+                worker = obs.Telemetry(max_spans=64, worker="w")
+                for i in range(rng.randint(0, 8)):
+                    worker.record(obs.Span(f"w{step}.{i}",
+                                           rng.choice((0.1, 0.2, 0.3))))
+                sink.merge_export(worker.export())
+                arrived.extend(worker.spans)
+            else:
+                span_ = obs.Span(f"r{step}", rng.choice((0.1, 0.2, 0.3)))
+                sink.record(span_)
+                arrived.append(span_)
+        order = sorted(range(len(arrived)),
+                       key=lambda i: (arrived[i].seconds, i))
+        kept = sorted(order[max(0, len(arrived) - cap):])
+        reference = [arrived[i] for i in kept]
+        assert sink.spans == reference
+        slowest_first = sorted(reference, key=lambda s: -s.seconds)
+        payload = sink.to_dict()
+        assert payload["spans"] == [s.to_dict() for s in slowest_first]
+        assert payload["spans_total"] == len(arrived)
+        assert payload["spans_dropped"] == len(arrived) - len(reference)
 
 
 class TestSinkSwaps:

@@ -11,12 +11,15 @@ import itertools
 import queue
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.prover import Verifier
+from repro.prover.proofstore import ProofStore
+from repro.props.spec import NonInterference
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import recv_message, send_message
 from repro.serve.residue import residue_for
@@ -93,6 +96,22 @@ class TestBatching:
             assert frames[0]["code"] == "parse-error"
         assert server.telemetry.counters["serve.parse_error"] == 1
 
+    def test_non_decimal_digits_are_parse_errors_not_failures(self,
+                                                              server):
+        """``'²'.isdigit()`` is true but ``int('²')`` fails; such a
+        submit is a parse error and never trips the breaker."""
+        source = ('program p { components { A "a" {} } messages { M(num); }'
+                  ' init { x = ²; } }')
+        for _ in range(3):
+            sub = submission(server, source)
+            server._process_batch([sub])
+            (frame,) = drain(sub.replies)
+            assert frame["type"] == "error"
+            assert frame["code"] == "parse-error"
+        assert server.breaker.state == "closed"
+        assert "serve.breaker.failure" not in server.telemetry.counters
+        assert server.telemetry.counters["serve.parse_error"] == 3
+
     def test_streaming_waiter_gets_events_then_verdict(self, server):
         sub = submission(server, car.SOURCE, stream=True)
         server._process_batch([sub])
@@ -128,6 +147,40 @@ class TestSessionDiffs:
         assert second["changed_parts"] == [["Engine", "Accelerating"]]
         assert second["fragments"]["changed"] == 1
         assert second["invalidated_keys"] > 0
+
+    def test_invalidated_keys_are_the_stored_keys_of_the_old_slice(
+            self, server):
+        """The index holds, under a slice digest, the keys the store was
+        asked for: the edited exchange's NI obligation, but not the
+        fragment of a trace property that syntax settles there."""
+        part = ("Engine", "Accelerating")
+        sub = submission(server, car.SOURCE)
+        server._process_batch([sub])
+        drain(sub.replies)
+        old_digests = dict(sub.session.digests)
+        filed = server.invalidation.keys_for(old_digests[part])
+
+        spec = car.load()
+        keys = Verifier(spec, server.prover_options).keys
+        ni_keys = {keys.obligation_key(prop, part)
+                   for prop in spec.properties
+                   if isinstance(prop, NonInterference)}
+        store = ProofStore(server.options.store)
+        fragment_keys = {keys.fragment_key(prop, part)
+                         for prop in spec.trace_properties()}
+        skip_only = {key for key in fragment_keys if store.get(key) is None}
+        assert ni_keys and ni_keys <= filed
+        assert skip_only and not skip_only & filed
+        assert all(store.get(key) is not None for key in filed)
+
+        edited = car.SOURCE.replace('"crank it up"', '"a bit louder"')
+        again = _Submission(session=sub.session, source=edited,
+                            replies=queue.Queue(), stream=False)
+        server._process_batch([again])
+        verdict = drain(again.replies)[0]
+        assert server.invalidation.invalidated_keys(
+            old_digests, sub.session.digests) == filed
+        assert verdict["invalidated_keys"] == len(filed)
 
     def test_identical_resubmission_changes_nothing(self, server):
         sub = submission(server, car.SOURCE)
@@ -317,6 +370,19 @@ class TestClose:
         elapsed = time.monotonic() - started
         assert not any(thread.is_alive() for thread in server._threads)
         return elapsed
+
+    def test_start_lowers_the_switch_interval(self, tmp_path):
+        """A verdict the prover thread queued must not wait out the
+        default 5 ms switch interval before its connection thread runs."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(0.005)
+        server = VerificationServer(ServeOptions(store=str(tmp_path / "ps")))
+        try:
+            server.start()
+            assert sys.getswitchinterval() <= 0.001
+        finally:
+            server.close()
+            sys.setswitchinterval(previous)
 
     def test_tcp_close_is_prompt_after_a_client_left(self, tmp_path):
         server = VerificationServer(ServeOptions(store=str(tmp_path / "ps")))
