@@ -296,11 +296,11 @@ def _scenario_client_disconnect(report: ScenarioReport, tmp: str) -> None:
         server.batch_hook = None
         report.expect(
             "drop_counted",
-            _wait_until(lambda: server._client_drops >= 1),
-            f"client_drops={server._client_drops}",
+            _wait_until(lambda: server._stats_frame()["client_drops"] >= 1),
+            f"client_drops={server._stats_frame()['client_drops']}",
         )
         report.record("client_drops_exactly_one",
-                      server._client_drops == 1)
+                      server._stats_frame()["client_drops"] == 1)
         _daemon_healthy(report, server)
 
 

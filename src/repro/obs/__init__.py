@@ -26,12 +26,11 @@ A fully instrumented run enables the subsystems explicitly::
         verifier.verify_all()
     obs.export.write_chrome_trace("t.json", sink.to_dict())
 
-One sink's :meth:`Telemetry.export` snapshot folds into another with
-:meth:`Telemetry.merge_export` — the serve daemon folds each
-submission's sink into its own this way (the legacy
-``counters``/``spans`` pair via :meth:`Telemetry.merge` still works).  See ``docs/observability.md``
-for the architecture, the event schema, and the ``repro report``
-walkthrough.
+A run has one sink; nothing is exported or merged between sinks.  The
+serve daemon, too, records every verify group straight into its own
+sink, with the group's submit ids as :attr:`Telemetry.tags`.  See
+``docs/observability.md`` for the architecture, the threading
+contract, the event schema, and the ``repro report`` walkthrough.
 """
 
 from . import export

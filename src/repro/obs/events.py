@@ -25,6 +25,12 @@ concatenating the rotated files oldest-first replays the run in order.
 
 Emission goes through :func:`repro.obs.event`, which is a module-global
 read plus a ``None`` check when no event-enabled sink is installed.
+
+A log has no lock: ``seq`` is the position of an append, so appends
+must not interleave.  One thread emits into a ``repro verify`` run's
+log; the serve daemon, whose prover and connection threads share one
+log, takes its telemetry lock for each append and for each
+flush-and-compact (see ``docs/serve.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Rotation defaults, overridable per :meth:`EventLog.bind` call.
 DEFAULT_MAX_BYTES_ENV = "REPRO_EVENTS_MAX_BYTES"
@@ -132,31 +138,6 @@ class EventLog:
         self._seq += 1
         self.events.append(event)
         return event
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, epoch_wall: float, events: Iterable[Event]) -> None:
-        """Fold a worker log's events in, re-stamping sequence numbers
-        (their internal order is preserved) and re-offsetting times onto
-        this log's epoch."""
-        offset = epoch_wall - self.epoch_wall
-        for event in events:
-            self.events.append(Event(
-                seq=self._seq,
-                t=event.t + offset,
-                kind=event.kind,
-                worker=event.worker,
-                fields=event.fields,
-            ))
-            self._seq += 1
-
-    def export(self) -> dict:
-        """Pickle-friendly snapshot a worker ships to the parent."""
-        return {
-            "worker": self.worker,
-            "epoch_wall": self.epoch_wall,
-            "events": list(self.events),
-        }
 
     # -- file backing --------------------------------------------------------
 

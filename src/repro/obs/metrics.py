@@ -9,9 +9,10 @@ registry is deliberately tiny:
   :func:`observe`/:func:`gauge` helpers, which are a single module-global
   read plus a ``None`` check when no metrics-enabled sink is installed
   (the same fast path as ``obs.incr``);
-* **process-portable** — :meth:`MetricsRegistry.export` is a plain dict
-  of plain values that pickles; the parent folds worker registries in
-  with :meth:`MetricsRegistry.merge`;
+* **plain snapshots** — :meth:`MetricsRegistry.export` is a dict of
+  plain values, which the rolling time series
+  (:mod:`repro.obs.timeseries`) differences into windows and folds
+  back together with :meth:`Histogram.merge`;
 * **bounded** — a histogram is a fixed family of power-of-two buckets
   over a base resolution, so a million observations cost the same memory
   as ten.
@@ -21,13 +22,20 @@ Histogram semantics: bucket ``i`` holds values in
 below ``BASE``); quantiles are upper-bound estimates read off the bucket
 boundaries, which is the right bias for latency alerting.
 
-Thread-safety: a histogram serializes its own mutations and snapshots
-with a per-instance lock, and the registry serializes histogram
-*creation*, so a sampler thread snapshotting a live registry races the
-observing threads without losing counts or tearing a bucket map.  The
-counter fast path stays lock-free — counters are per-sink and merged
-under the owner's lock (the serve daemon's telemetry lock), and a plain
-dict store is atomic under the GIL.
+Threading contract.  A histogram serializes its own mutations and
+snapshots with a per-instance lock, and the registry serializes
+histogram *creation*, so threads may observe into one histogram
+concurrently.  Counters and gauges are plain dicts written without a
+lock: each name has one writing thread at a time — threads that bump
+the same name share a lock of their own, as the serve daemon's
+connection threads do for their ``serve.*`` counters — and a single
+dict store is atomic under the GIL.  A reader on another thread (the
+daemon's sampler, its ``stats``/``metrics``/``health`` frames) copies
+a dict in one step (``dict(d)``, ``list(d.items())``: no Python code
+runs, so the GIL is not released) before iterating it, so a name
+another thread adds meanwhile cannot break the loop;
+:meth:`MetricsRegistry.export` and :meth:`MetricsRegistry.to_dict` do
+so for the histogram map.
 """
 
 from __future__ import annotations
@@ -111,7 +119,7 @@ class Histogram:
         count moves to the local bucket containing the foreign bucket's
         upper bound.  That preserves the histogram's one invariant —
         quantiles are upper-bound estimates — at the cost of some extra
-        conservatism, instead of silently mis-bucketing merged worker
+        conservatism, instead of silently mis-bucketing the foreign
         data (a base-1e-6 bucket 3 is 8 µs; the same index under base
         1e-3 is 8 ms — three orders of magnitude of silent skew).
         """
@@ -134,7 +142,7 @@ class Histogram:
                 self.buckets[index] = self.buckets.get(index, 0) + amount
 
     def export(self) -> dict:
-        """Pickle/JSON-friendly snapshot (mergeable)."""
+        """JSON-friendly snapshot (:meth:`merge` folds one in)."""
         with self._lock:
             return {
                 "base": self.base,
@@ -189,58 +197,48 @@ class MetricsRegistry:
         """Set the gauge ``name`` (last write wins)."""
         self.gauges[name] = float(value)
 
-    def _histogram(self, name: str, base: float = BASE) -> Histogram:
-        """The named histogram, created under the registry lock so two
-        racing threads cannot each create one and lose the other's
-        observations."""
+    def observe(self, name: str, value: float) -> None:
+        """Record one observation into the histogram ``name``, created
+        under the registry lock so two racing threads cannot each
+        create one and lose the other's observations."""
         histogram = self.histograms.get(name)
         if histogram is None:
             with self._create_lock:
                 histogram = self.histograms.get(name)
                 if histogram is None:
-                    histogram = self.histograms[name] = Histogram(base)
-        return histogram
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the histogram ``name``."""
-        self._histogram(name).observe(value)
-
-    def merge(self, data: dict) -> None:
-        """Fold an :meth:`export` snapshot (a worker's) into this
-        registry.  Counters are *not* merged here — they travel on the
-        flat telemetry path, which this registry aliases."""
-        for name, value in data.get("gauges", {}).items():
-            self.gauges.setdefault(name, value)
-        for name, exported in data.get("histograms", {}).items():
-            histogram = self._histogram(name,
-                                        exported.get("base", BASE))
-            histogram.merge(exported)
+                    histogram = self.histograms[name] = Histogram()
+        histogram.observe(value)
 
     def export(self) -> dict:
-        """Pickle-friendly snapshot a worker ships to the parent."""
+        """Plain snapshot of the gauges and histograms (what
+        :func:`~repro.obs.timeseries.registry_snapshot` reads), safe to
+        take while other threads observe."""
+        histograms = dict(self.histograms)
         return {
             "gauges": dict(self.gauges),
             "histograms": {
-                name: h.export() for name, h in self.histograms.items()
+                name: h.export() for name, h in histograms.items()
             },
         }
 
     def to_dict(self) -> dict:
         """JSON-ready form: gauges and histogram summaries."""
+        histograms = dict(self.histograms)
         return {
             "gauges": {
                 name: round(value, 9)
-                for name, value in sorted(self.gauges.items())
+                for name, value in sorted(dict(self.gauges).items())
             },
             "histograms": {
-                name: self.histograms[name].to_dict()
-                for name in sorted(self.histograms)
+                name: histograms[name].to_dict()
+                for name in sorted(histograms)
             },
         }
 
     def summaries(self) -> List[Tuple[str, dict]]:
         """Histogram summaries, sorted by total time descending."""
         return sorted(
-            ((name, h.to_dict()) for name, h in self.histograms.items()),
+            ((name, h.to_dict()) for name, h
+             in dict(self.histograms).items()),
             key=lambda item: -item[1]["total"],
         )

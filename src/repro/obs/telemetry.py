@@ -1,11 +1,11 @@
-"""The telemetry sink: the compatibility facade over the obs subsystem.
+"""The telemetry sink: the front door to the obs subsystem.
 
 Historically this module *was* the whole observability layer — named
 counters plus a flat list of timed spans.  It is now the front door to
 the real subsystem (:mod:`repro.obs.trace`, :mod:`repro.obs.metrics`,
 :mod:`repro.obs.events`): a :class:`Telemetry` still exposes
-``counters``/``spans``/``incr``/``record``/``merge``/``to_dict``/
-``render`` exactly as before, and optionally hosts a hierarchical
+``counters``/``spans``/``incr``/``record``/``to_dict``/``render``
+exactly as before, and optionally hosts a hierarchical
 :class:`~repro.obs.trace.Tracer`, a
 :class:`~repro.obs.metrics.MetricsRegistry` and an
 :class:`~repro.obs.events.EventLog` that the same instrumented call
@@ -22,42 +22,41 @@ Design constraints, in order:
   (maintained incrementally), but only the ``max_spans`` slowest raw
   spans are retained, so large runs cannot grow the sink without
   bound.  They sit in a min-heap keyed by (seconds, arrival), so
-  recording or merging a span costs O(log ``max_spans``) — the serve
-  daemon merges about a hundred spans per verify group;
-* **portable** — :meth:`Telemetry.export` is a pickle-friendly
-  snapshot that another sink folds in with
-  :meth:`Telemetry.merge_export`, normalizing clock offsets (the serve
-  daemon folds each submission's sink into its own).  The legacy
-  ``merge(counters, spans)`` form still works;
+  recording a span costs O(log ``max_spans``);
+* **one sink per run** — nothing is exported or merged: the serve
+  daemon records every verify group straight into its own sink, with
+  the group's submit ids as :attr:`Telemetry.tags`;
 * **structured output** — :meth:`Telemetry.to_dict` is what
   ``python -m repro verify --profile --json`` embeds (now with optional
   ``trace``/``metrics``/``events`` sections), and
   :meth:`Telemetry.render` is the human-readable block, largest
   contributors first.
+
+Threading: a sink has no lock.  Whatever a thread writes — a counter
+name, a span, a histogram — has one writing thread at a time (threads
+that count the same names share a lock of their own, as the serve
+daemon's connection threads do), and a reader on another thread copies
+each dict or list in one step before iterating it, as :meth:`to_dict`
+does.  See :mod:`repro.obs.metrics` for the full contract.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .trace import Tracer, new_run_id
 
 
-def _default_max_spans() -> int:
-    """The raw-span retention cap (``REPRO_PROFILE_MAX_SPANS``)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_PROFILE_MAX_SPANS", 256)))
-    except ValueError:
-        return 256
+#: How many of the slowest raw spans a sink retains by default.
+MAX_SPANS = 256
 
 
 @dataclass(frozen=True)
@@ -86,21 +85,15 @@ class Telemetry:
     """
 
     def __init__(self, *, trace: bool = False, metrics: bool = False,
-                 events: bool = False, run_id: Optional[str] = None,
-                 worker: str = "main",
-                 max_spans: Optional[int] = None,
-                 tags: Optional[Dict[str, object]] = None) -> None:
-        if run_id is None and (trace or events):
-            run_id = new_run_id()
-        self.run_id = run_id
-        self.worker = worker
-        #: Request-context tags (e.g. the serve daemon's ``submit_id``)
-        #: merged into every span's attrs and every event's fields, so
-        #: one submission's work is traceable end to end, through
-        #: coalesced verify groups.
+                 events: bool = False, max_spans: int = MAX_SPANS) -> None:
+        self.run_id = new_run_id() if trace or events else None
+        #: Request-context tags merged into every span's attrs and every
+        #: event's fields: the serve daemon sets its verify group's
+        #: ``submit_id`` here while the group runs, so one submission's
+        #: work is traceable end to end, through coalesced groups.
         #: Explicit attrs/fields win on key collision.  Empty by
         #: default, so the hot path pays only a falsy check.
-        self.tags: Dict[str, object] = dict(tags) if tags else {}
+        self.tags: Dict[str, object] = {}
         self.metrics: Optional[MetricsRegistry] = \
             MetricsRegistry() if metrics else None
         # Alias the registry's counters so ``incr`` feeds both at once.
@@ -108,17 +101,16 @@ class Telemetry:
             self.metrics.counters if self.metrics is not None else {}
         )
         self.tracer: Optional[Tracer] = (
-            Tracer(run_id=run_id, worker=worker) if trace else None
+            Tracer(run_id=self.run_id) if trace else None
         )
         self.events: Optional[EventLog] = (
-            EventLog(run_id=run_id, worker=worker) if events else None
+            EventLog(run_id=self.run_id) if events else None
         )
         #: the retained raw spans as a min-heap of (seconds, arrival,
         #: span): the root is the next to evict, the oldest on a tie
         self._retained: List[Tuple[float, int, Span]] = []
         self._arrivals = itertools.count()
-        self.max_spans = (max_spans if max_spans is not None
-                          else _default_max_spans())
+        self.max_spans = max_spans
         self._span_totals: Dict[str, List[float]] = {}  # name → [n, secs]
         self._spans_dropped = 0
 
@@ -133,80 +125,22 @@ class Telemetry:
         return [entry[2] for entry in sorted(self._retained,
                                              key=itemgetter(1))]
 
-    def _retain(self, span_: Span) -> None:
-        """Keep ``span_`` among the retained raw spans, evicting the
-        cheapest one (the oldest on a tie) once the cap is exceeded."""
-        entry = (span_.seconds, next(self._arrivals), span_)
-        if len(self._retained) < self.max_spans:
-            heapq.heappush(self._retained, entry)
-        else:
-            heapq.heappushpop(self._retained, entry)
-            self._spans_dropped += 1
-
     def record(self, span_: Span) -> None:
-        """Append one finished span (exact totals, capped raw list)."""
+        """Append one finished span: exact per-name totals, and the
+        span kept among the ``max_spans`` slowest (the cheapest retained
+        one, the oldest on a tie, is evicted once the cap is hit)."""
         total = self._span_totals.get(span_.name)
         if total is None:
             self._span_totals[span_.name] = [1, span_.seconds]
         else:
             total[0] += 1
             total[1] += span_.seconds
-        self._retain(span_)
-
-    def merge(self, counters: Dict[str, int],
-              spans: Iterable[Span]) -> None:
-        """Fold a worker's counters and spans into this sink."""
-        for name, amount in counters.items():
-            self.incr(name, amount)
-        for span_ in spans:
-            self.record(span_)
-
-    # -- process portability -------------------------------------------------
-
-    def export(self) -> dict:
-        """Pickle-friendly snapshot of everything a worker collected."""
-        out = {
-            "counters": dict(self.counters),
-            "spans": self.spans,
-            "span_totals": {name: tuple(total) for name, total
-                            in self._span_totals.items()},
-            "spans_dropped": self._spans_dropped,
-            "worker": self.worker,
-        }
-        if self.tracer is not None:
-            out["trace"] = self.tracer.export()
-        if self.metrics is not None:
-            out["metrics"] = self.metrics.export()
-        if self.events is not None:
-            out["events"] = self.events.export()
-        return out
-
-    def merge_export(self, data: dict) -> None:
-        """Fold a worker's :meth:`export` snapshot into this sink, with
-        clock-offset normalization for trace spans and events."""
-        for name, amount in data.get("counters", {}).items():
-            self.incr(name, amount)
-        for name, (count, seconds) in data.get("span_totals",
-                                               {}).items():
-            total = self._span_totals.get(name)
-            if total is None:
-                self._span_totals[name] = [count, seconds]
-            else:
-                total[0] += count
-                total[1] += seconds
-        for span_ in data.get("spans", ()):
-            self._retain(span_)
-        self._spans_dropped += data.get("spans_dropped", 0)
-        trace = data.get("trace")
-        if trace is not None and self.tracer is not None:
-            self.tracer.merge(trace["worker"], trace["epoch_wall"],
-                              trace["spans"])
-        metrics = data.get("metrics")
-        if metrics is not None and self.metrics is not None:
-            self.metrics.merge(metrics)
-        events = data.get("events")
-        if events is not None and self.events is not None:
-            self.events.merge(events["epoch_wall"], events["events"])
+        entry = (span_.seconds, next(self._arrivals), span_)
+        if len(self._retained) < self.max_spans:
+            heapq.heappush(self._retained, entry)
+        else:
+            heapq.heappushpop(self._retained, entry)
+            self._spans_dropped += 1
 
     # -- output --------------------------------------------------------------
 
@@ -216,12 +150,12 @@ class Telemetry:
         Exact even after raw-span eviction: totals are maintained
         incrementally as spans are recorded."""
         return {name: total[1]
-                for name, total in self._span_totals.items()}
+                for name, total in list(self._span_totals.items())}
 
     def span_counts(self) -> Dict[str, int]:
         """Recorded span count per name (exact, like the totals)."""
         return {name: int(total[0])
-                for name, total in self._span_totals.items()}
+                for name, total in list(self._span_totals.items())}
 
     def to_dict(self) -> dict:
         """JSON-ready form: counters, per-stage totals, and the retained
@@ -267,7 +201,7 @@ class Telemetry:
         return "\n".join(lines)
 
 
-#: The installed sink (one per process; workers install their own).
+#: The installed sink (one per process).
 _ACTIVE: Optional[Telemetry] = None
 
 

@@ -17,10 +17,10 @@ an approximation.
 
 The :class:`Sampler` is the background thread that feeds a series from
 a live registry on a fixed interval; its snapshot function and clock
-are injectable, so the serve daemon hands it a *locked* snapshot of the
-shared telemetry sink, tests drive it with a fake clock, and the soak
-harness samples deterministically with round numbers as the time axis
-(no wall clock ⇒ bit-for-bit reproducible reports).
+are injectable, so the serve daemon hands it a snapshot copied in one
+step from its live telemetry sink, tests drive it with a fake clock,
+and the soak harness samples deterministically with round numbers as
+the time axis (no wall clock ⇒ bit-for-bit reproducible reports).
 
 Everything here works on plain exported dicts (the
 :meth:`MetricsRegistry.export` shape plus a ``counters`` map), so a
@@ -69,9 +69,8 @@ class Window:
     ``t0``/``t1`` are the window's bounds on whatever clock the caller
     samples with (wall seconds for a daemon, round numbers for the soak
     harness).  Counter and histogram deltas are clamped at zero — a
-    registry swapped mid-flight (a new cache generation, a merged
-    worker export arriving late) must read as a quiet window, never as
-    a negative rate.
+    registry swapped mid-flight (a new cache generation) must read as a
+    quiet window, never as a negative rate.
     """
 
     __slots__ = ("t0", "t1", "counters", "gauges", "histograms")
@@ -374,8 +373,9 @@ class Sampler:
     """A background thread feeding a :class:`TimeSeries` on an interval.
 
     ``snapshot`` returns the :func:`registry_snapshot` shape — the
-    caller owns whatever locking the underlying registry needs (the
-    serve daemon snapshots under its telemetry lock).  Snapshot failures
+    caller owns whatever the underlying registry needs to be read safely
+    (the serve daemon copies each dict in one step, see
+    :mod:`repro.obs.metrics`).  Snapshot failures
     are counted and swallowed: a sampling hiccup must never take the
     host process down.  ``clock`` is injectable for tests.
     """

@@ -2,24 +2,20 @@
 
 The flat :class:`~repro.obs.telemetry.Span` answers "how much time went
 into stage X overall"; this module answers the questions a slow or flaky
-run actually raises — *which* obligation was slowest, what each worker
-was doing *when*, and how the stages nest inside one another:
+run actually raises — *which* obligation was slowest, what was running
+*when*, and how the stages nest inside one another:
 
 * every :class:`TraceSpan` carries a stable ``span_id`` and the
   ``parent_id`` of the span it ran inside, so exports can rebuild the
   tree;
 * spans record a wall-clock **start offset** from the run epoch (not
-  just a duration), so a timeline view lines the workers up;
+  just a duration), so a timeline view shows what ran when;
 * the *current* span is tracked in a :mod:`contextvars` variable — the
   ``engine`` → ``pipeline`` → ``tactics`` → ``solver`` call chain nests
-  correctly without threading a span argument through every layer;
-* a :class:`Tracer` is pickle-friendly to merge: a worker process ships
-  ``Tracer.export()`` home and the parent's :meth:`Tracer.merge`
-  re-offsets every span by the difference of the two epochs (both read
-  the same machine wall clock), so one coherent parent timeline results.
+  correctly without threading a span argument through every layer.
 
-Span identifiers embed the worker name and a per-process serial, so ids
-stay unique after merging trees from many workers and pool generations.
+Span identifiers embed the worker name and a per-process tracer serial,
+so two tracers in one process never hand out the same id.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import os
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: The span currently open in this task context, as ``(tracer, span_id)``.
 #: Tagging with the tracer keeps nesting honest across mid-run sink
@@ -39,20 +35,9 @@ _CURRENT: ContextVar[Optional[Tuple["Tracer", str]]] = ContextVar(
     "repro_obs_current_span", default=None
 )
 
-#: Per-process tracer serials (reset after fork, keyed by pid) — they
-#: make span-id prefixes unique when one process hosts many tracers.
+#: Tracer serials — they make span-id prefixes unique when one process
+#: hosts many tracers.
 _SERIALS = itertools.count(1)
-_SERIALS_PID = os.getpid()
-
-
-def _next_serial() -> int:
-    """The next tracer serial for this process (fork-aware)."""
-    global _SERIALS, _SERIALS_PID
-    pid = os.getpid()
-    if pid != _SERIALS_PID:
-        _SERIALS = itertools.count(1)
-        _SERIALS_PID = pid
-    return next(_SERIALS)
 
 
 def new_run_id() -> str:
@@ -65,7 +50,7 @@ class TraceSpan:
     """One finished span in the hierarchical trace.
 
     ``start`` is seconds since the owning run's epoch; ``worker`` names
-    the process-level track the span ran on (``main`` or ``w<pid>``).
+    the tracer's track (``main`` for a ``repro verify`` run).
     """
 
     name: str
@@ -125,12 +110,8 @@ class _OpenSpan:
 
 
 class Tracer:
-    """Collects one process's span tree for a run.
-
-    The parent process's tracer owns the run epoch; worker tracers are
-    merged into it with clock-offset normalization (both epochs are
-    ``time.time()`` readings of the same machine clock).
-    """
+    """Collects one run's span tree; span starts are offsets from the
+    tracer's epoch."""
 
     def __init__(self, run_id: Optional[str] = None,
                  worker: str = "main") -> None:
@@ -138,7 +119,7 @@ class Tracer:
         self.worker = worker
         self.epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
-        self._prefix = f"{worker}.{_next_serial()}"
+        self._prefix = f"{worker}.{next(_SERIALS)}"
         self._ids = itertools.count(1)
         self.spans: List[TraceSpan] = []
 
@@ -180,44 +161,7 @@ class Tracer:
         self.spans.append(finished)
         return finished
 
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, worker: str, epoch_wall: float,
-              spans: Iterable[TraceSpan]) -> None:
-        """Fold a worker tracer's spans into this timeline, shifting
-        every start by the difference of the two wall-clock epochs."""
-        offset = epoch_wall - self.epoch_wall
-        for span_ in spans:
-            self.spans.append(TraceSpan(
-                name=span_.name,
-                span_id=span_.span_id,
-                parent_id=span_.parent_id,
-                start=span_.start + offset,
-                seconds=span_.seconds,
-                worker=span_.worker if span_.worker != "main" else worker,
-                attrs=span_.attrs,
-            ))
-
-    def export(self) -> dict:
-        """Pickle-friendly snapshot a worker ships to the parent."""
-        return {
-            "worker": self.worker,
-            "epoch_wall": self.epoch_wall,
-            "spans": list(self.spans),
-        }
-
     # -- output --------------------------------------------------------------
-
-    def workers(self) -> List[str]:
-        """The distinct worker tracks, parent first, then sorted."""
-        seen = {span_.worker for span_ in self.spans}
-        ordered = [self.worker] if self.worker in seen else []
-        ordered.extend(sorted(seen - {self.worker}))
-        return ordered
-
-    def span_index(self) -> Dict[str, TraceSpan]:
-        """Spans by id (merged trees included)."""
-        return {span_.span_id: span_ for span_ in self.spans}
 
     def to_dict(self) -> dict:
         """JSON-ready form: run identity, epoch, and every span."""

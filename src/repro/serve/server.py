@@ -34,7 +34,13 @@ Concurrency model (deliberate, and load-bearing for soundness):
   ``recv`` or on their queue and do not ask for the GIL, so the prover
   thread is interrupted only while a frame is waiting to be sent.
   Socket writes stay on the connection threads: a slow client never
-  blocks verification.
+  blocks verification;
+* each verify group records straight into the daemon's one telemetry
+  sink, tagged with the group's submit ids.  The telemetry lock is held
+  for one event append or one connection-thread counter bump at a
+  time, never for a verification, so a shed stays immediate; readers
+  on other threads (the sampler, the ``stats``/``metrics``/``health``
+  frames) copy what they read in one step.
 
 Resilience model (the PR 9 layer):
 
@@ -83,7 +89,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .. import obs
 from ..frontend import parse_program
 from ..lang.errors import ReflexError
-from ..obs.events import EventLog
+from ..obs.events import Event, EventLog
 from ..obs.export import prometheus_exposition
 from ..obs.timeseries import Sampler, TimeSeries, registry_snapshot
 from ..prover import DEADLINE_MESSAGE, ProverOptions, Verifier
@@ -113,8 +119,9 @@ PROTOCOL_VERSION = 3
 
 #: Schema tag stamped on ``stats``/``metrics``/``health`` frames and the
 #: ``--stats-out`` payload; bumped whenever their shape changes so a
-#: scraper can refuse payloads it does not understand.
-STATS_SCHEMA_VERSION = 1
+#: scraper can refuse payloads it does not understand (2: the payload no
+#: longer embeds the flight recorder's events).
+STATS_SCHEMA_VERSION = 2
 
 #: Verdicts cached for degraded (breaker-open) serving, keyed by source.
 _VERDICT_CACHE_CAP = 128
@@ -251,29 +258,57 @@ class _Submission:
             self.ticket.release()
 
 
-class _StreamingEventLog(EventLog):
-    """An event log that forwards each record to subscriber queues.
+class _DaemonEventLog(EventLog):
+    """The daemon's event log, which the prover thread and the
+    connection threads share.
 
-    The record itself is the PR 4 flight-recorder envelope
-    (``seq``/``t``/``kind``/``worker`` + sorted fields); subscribers
-    receive it wrapped as an ``event`` protocol frame while the log
-    still accumulates normally for telemetry merging.
+    Appends must not interleave (``seq`` is the append position), so
+    each one holds the daemon's telemetry lock — for one event, never
+    for a verification.  While a verify group runs, ``streams`` holds
+    the reply queues of its streaming waiters, and every event the
+    prover emits through :func:`repro.obs.event` also goes to them as
+    an ``event`` frame.  The daemon's own events (:meth:`note`) never
+    stream.  Without ``--events-out`` the log keeps nothing: its
+    events only stream.
     """
 
-    def __init__(self, subscribers: List["queue.Queue[dict]"],
-                 run_id: Optional[str] = None,
-                 worker: str = "serve") -> None:
-        super().__init__(run_id=run_id, worker=worker)
-        self._subscribers = list(subscribers)
+    def __init__(self, lock: threading.Lock, retain: bool) -> None:
+        super().__init__(worker="serve")
+        self._lock = lock
+        self._retain = retain
+        self.streams: List["queue.Queue[dict]"] = []
 
-    def emit(self, kind: str, /, **fields: object):
-        """Append the event and fan its envelope out to subscribers."""
+    def note(self, kind: str, /, **fields: object) -> Event:
+        """Append one event; the caller holds the telemetry lock."""
         event = super().emit(kind, **fields)
-        if self._subscribers:
-            frame = {"type": "event", "event": event.to_dict()}
-            for subscriber in self._subscribers:
-                subscriber.put(frame)
+        if not self._retain:
+            self.events.clear()
         return event
+
+    def emit(self, kind: str, /, **fields: object) -> Event:
+        """Append a prover event and stream it to the running group's
+        waiters."""
+        with self._lock:
+            event = self.note(kind, **fields)
+        if self.streams:
+            frame = {"type": "event", "event": event.to_dict()}
+            for stream in self.streams:
+                stream.put(frame)
+        return event
+
+
+def _group_counters(before: Dict[str, int],
+                    after: Dict[str, int]) -> Dict[str, int]:
+    """What one verify group added to the daemon's counters.
+
+    ``serve.*`` is the daemon's own namespace, which connection threads
+    bump while a group runs, so it is left out; the prover counts under
+    its layers' names.  A counter the group bumped by zero does not
+    show."""
+    return {name: amount - before.get(name, 0)
+            for name, amount in after.items()
+            if amount != before.get(name, 0)
+            and not name.startswith("serve.")}
 
 
 def _error_frame(code: str, message: str) -> dict:
@@ -312,10 +347,18 @@ class VerificationServer:
             threshold=self.options.breaker_threshold,
             cooldown=self.options.breaker_cooldown,
         )
+        #: every verify group records straight into this sink (see
+        #: ``_verify_group_inner``); the lock serializes event appends
+        #: and the connection threads' counters.  The daemon's event log
+        #: replaces the sink's own; ``events`` still gives a daemon with
+        #: a flight recorder its run id.
         self.telemetry = obs.Telemetry(
             metrics=True, events=bool(self.options.events_out),
         )
         self._telemetry_lock = threading.Lock()
+        self.telemetry.events = _DaemonEventLog(
+            self._telemetry_lock, retain=bool(self.options.events_out),
+        )
         #: rolling time-series over the daemon's registry (counter
         #: rates, windowed histogram quantiles) fed by a background
         #: sampler; the health/SLO surface and ``metrics`` frames read it
@@ -339,11 +382,6 @@ class VerificationServer:
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._stopped = threading.Event()
-        self._batches = 0
-        self._submitted = 0
-        self._coalesced = 0
-        self._flush_errors = 0
-        self._client_drops = 0
         self._verdict_cache: "OrderedDict[str, dict]" = OrderedDict()
         #: chaos instrumentation: called with each batch before it is
         #: processed (see :mod:`repro.harness.chaos_serve`); failures
@@ -465,14 +503,16 @@ class VerificationServer:
 
     def _note_client_drop(self, frame_kind: Optional[str]) -> None:
         """Account one client that vanished mid-conversation."""
-        self._client_drops += 1
+        self._count("serve.client_drop", frame_kind=frame_kind or "(none)")
+
+    def _count(self, name: str, amount: int = 1, /,
+               **event: object) -> None:
+        """Bump the daemon counter ``name`` and, given fields, record a
+        ``name`` event, under the telemetry lock (from any thread)."""
         with self._telemetry_lock:
-            self.telemetry.incr("serve.client_drop")
-            if self.telemetry.events is not None:
-                self.telemetry.events.emit(
-                    "serve.client_drop",
-                    frame_kind=frame_kind or "(none)",
-                )
+            self.telemetry.incr(name, amount)
+            if event:
+                self.telemetry.events.note(name, **event)
 
     def _handle_conn(self, conn: socket.socket) -> None:
         """One client's request loop: framing I/O only — all symbolic
@@ -498,8 +538,7 @@ class VerificationServer:
                     # may still be reading) and hang up; the daemon is
                     # unharmed.  Handled while the socket is still open —
                     # outside ``closing`` the reply could never be sent.
-                    with self._telemetry_lock:
-                        self.telemetry.incr("serve.malformed_frame")
+                    self._count("serve.malformed_frame")
                     with contextlib.suppress(OSError):
                         send_message(conn,
                                      _error_frame("malformed", str(error)))
@@ -561,13 +600,8 @@ class VerificationServer:
             holder["session"] = session
             ticket, shed = self.admission.try_admit(session.sid)
             if ticket is None:
-                with self._telemetry_lock:
-                    self.telemetry.incr("serve.shed")
-                    if self.telemetry.events is not None:
-                        self.telemetry.events.emit(
-                            "serve.shed", session=session.sid,
-                            reason=shed.get("reason"),
-                        )
+                self._count("serve.shed", session=session.sid,
+                            reason=shed.get("reason"))
                 self._send(conn, shed)
                 return None
             replies: "queue.Queue[dict]" = queue.Queue()
@@ -688,8 +722,6 @@ class VerificationServer:
         if hook is not None:
             with contextlib.suppress(Exception):
                 hook(batch)
-        self._batches += 1
-        self._submitted += len(batch)
         GroupKey = Tuple[str, Optional[float]]
         groups: Dict[GroupKey, List[_Submission]] = {}
         order: List[GroupKey] = []
@@ -702,40 +734,25 @@ class VerificationServer:
         dequeued_at = time.monotonic()
         for submission in batch:
             submission.dequeued_at = dequeued_at
-        with self._telemetry_lock:
-            self.telemetry.incr("serve.batch")
-            self.telemetry.incr("serve.submissions", len(batch))
-            if self.telemetry.metrics is not None:
-                self.telemetry.metrics.gauge(
-                    "serve.queue.depth", float(self.admission.inflight)
-                )
-                for submission in batch:
-                    if not submission.received_at:
-                        continue  # hand-built (tests): nothing to time
-                    admitted = (submission.admitted_at
-                                or submission.received_at)
-                    self.telemetry.metrics.observe(
-                        "serve.admission.seconds",
-                        max(0.0, admitted - submission.received_at),
-                    )
-                    self.telemetry.metrics.observe(
-                        "serve.queue.seconds",
-                        max(0.0, dequeued_at - admitted),
-                    )
-            if self.telemetry.events is not None:
-                self.telemetry.events.emit(
-                    "serve.batch", size=len(batch), groups=len(order),
-                )
+        self._count("serve.batch", size=len(batch), groups=len(order))
+        self._count("serve.submissions", len(batch))
+        metrics = self.telemetry.metrics
+        metrics.gauge("serve.queue.depth", float(self.admission.inflight))
+        for submission in batch:
+            if not submission.received_at:
+                continue  # hand-built (tests): nothing to time
+            admitted = submission.admitted_at or submission.received_at
+            metrics.observe("serve.admission.seconds",
+                            max(0.0, admitted - submission.received_at))
+            metrics.observe("serve.queue.seconds",
+                            max(0.0, dequeued_at - admitted))
         for key in order:
             source, deadline = key
             waiters = groups[key]
             if len(waiters) > 1:
-                self._coalesced += len(waiters) - 1
-                with self._telemetry_lock:
-                    self.telemetry.incr("serve.batch.coalesced",
-                                        len(waiters) - 1)
+                self._count("serve.batch.coalesced", len(waiters) - 1)
             self._verify_group(source, deadline, waiters)
-        with self._telemetry_lock, obs.use(self.telemetry):
+        with obs.use(self.telemetry):
             self.governor.maybe_collect()
         self._flush_outputs()
 
@@ -755,13 +772,7 @@ class VerificationServer:
             self._verify_group_inner(source, deadline, waiters, answered)
         except Exception as error:  # noqa: BLE001 — see docstring
             self._note_backend_failure("escaped exception")
-            with self._telemetry_lock:
-                self.telemetry.incr("serve.internal_error")
-                if self.telemetry.events is not None:
-                    self.telemetry.events.emit(
-                        "serve.internal_error",
-                        error=type(error).__name__,
-                    )
+            self._count("serve.internal_error", error=type(error).__name__)
             for waiter in waiters:
                 if id(waiter) not in answered:
                     frame = _error_frame(
@@ -784,8 +795,7 @@ class VerificationServer:
         try:
             spec = parse_program(source)
         except ReflexError as error:
-            with self._telemetry_lock:
-                self.telemetry.incr("serve.parse_error")
+            self._count("serve.parse_error")
             for waiter in waiters:
                 frame = _error_frame("parse-error", str(error))
                 breakdown = waiter.breakdown(group_start=group_start)
@@ -802,41 +812,42 @@ class VerificationServer:
         options = self.prover_options
         if deadline is not None:
             options = replace(options, deadline=deadline)
-        # Tag every span and event this group produces with the waiting
-        # submit ids, so one submission's work is traceable end to end
-        # even through coalescing.
+        # The group records straight into the daemon's sink.  Its spans
+        # and events carry the waiting submit ids, so one submission's
+        # work is traceable end to end even through coalescing, and its
+        # events stream to the waiters that asked for them.  A group
+        # that raises leaves its partial counts in the daemon's totals.
+        telemetry = self.telemetry
         submit_ids = [w.submit_id for w in waiters if w.submit_id]
-        sink = obs.Telemetry(
-            metrics=True, events=True,
-            tags=({"submit_id": ",".join(submit_ids[:8])}
-                  if submit_ids else None),
-        )
-        sink.events = _StreamingEventLog(
-            [w.replies for w in waiters if w.stream],
-            run_id=sink.run_id,
-        )
+        if submit_ids:
+            telemetry.tags = {"submit_id": ",".join(submit_ids[:8])}
+        telemetry.events.streams = [w.replies for w in waiters if w.stream]
+        before = dict(telemetry.counters)
         started = time.perf_counter()
-        with obs.use(sink):
-            verifier = Verifier(spec, options)
-            report = verifier.verify_all()
-            deadline_expired = any(
-                DEADLINE_MESSAGE in (result.error or "")
-                for result in report.results
-            )
-            # One key table per submission: the slice digests and keys
-            # the verification computed serve the session diff and the
-            # invalidation index too, so filing computes nothing, also
-            # for a group its deadline cut short.
-            program_digest = verifier.program_digest()
-            digests = verifier.keys.slice_digests()
-            self.invalidation.record_program(verifier)
+        try:
+            with obs.use(telemetry):
+                verifier = Verifier(spec, options)
+                report = verifier.verify_all()
+                # One key table per submission: the slice digests and
+                # keys the verification computed serve the session diff
+                # and the invalidation index too, so filing computes
+                # nothing, also for a group its deadline cut short.
+                program_digest = verifier.program_digest()
+                digests = verifier.keys.slice_digests()
+                self.invalidation.record_program(verifier)
+        finally:
+            telemetry.tags = {}
+            telemetry.events.streams = []
         wall = time.perf_counter() - started
+        counters = _group_counters(before, dict(telemetry.counters))
+        deadline_expired = any(
+            DEADLINE_MESSAGE in (result.error or "")
+            for result in report.results
+        )
         residue = residue_for(report)
-        counters = dict(sink.counters)
         self.breaker.record_success()
         if deadline_expired:
-            with self._telemetry_lock:
-                self.telemetry.incr("serve.deadline.expired")
+            self._count("serve.deadline.expired")
         else:
             self._cache_verdict(source, spec, report, residue,
                                 program_digest)
@@ -850,11 +861,7 @@ class VerificationServer:
                 fanout_start=fanout_start,
             ))
             answered.add(id(waiter))
-        with self._telemetry_lock:
-            self.telemetry.merge_export(sink.export())
-            if self.telemetry.metrics is not None:
-                self.telemetry.metrics.observe("serve.verify.seconds",
-                                               wall)
+        telemetry.metrics.observe("serve.verify.seconds", wall)
 
     def _note_recent(self, waiter: _Submission, outcome: str,
                      breakdown: dict) -> None:
@@ -867,12 +874,9 @@ class VerificationServer:
             "outcome": outcome,
             "breakdown": breakdown,
         })
-        with self._telemetry_lock:
-            if self.telemetry.metrics is not None:
-                self.telemetry.metrics.observe(
-                    "serve.e2e.seconds",
-                    breakdown.get("total_ms", 0.0) / 1000.0,
-                )
+        self.telemetry.metrics.observe(
+            "serve.e2e.seconds", breakdown.get("total_ms", 0.0) / 1000.0,
+        )
 
     def _verdict_frame(self, waiter: _Submission, spec, report,
                        residue: List[dict], digests: Dict[Part, str],
@@ -923,7 +927,7 @@ class VerificationServer:
             "breakdown": breakdown,
             "coalesced": coalesced,
             "generation": self.governor.generation,
-            "batch": self._batches,
+            "batch": self.telemetry.counters.get("serve.batch", 0),
             "deadline_ms": waiter.deadline_ms,
             "deadline_expired": deadline_expired,
         }
@@ -935,13 +939,8 @@ class VerificationServer:
         ``breaker_threshold`` in a row; only a successful half-open
         trial closes it again)."""
         self.breaker.record_failure()
-        with self._telemetry_lock:
-            self.telemetry.incr("serve.breaker.failure")
-            if self.telemetry.events is not None:
-                self.telemetry.events.emit(
-                    "serve.breaker.failure", reason=reason,
-                    state=self.breaker.state,
-                )
+        self._count("serve.breaker.failure", reason=reason,
+                    state=self.breaker.state)
 
     def _cache_verdict(self, source: str, spec, report,
                        residue: List[dict],
@@ -973,11 +972,10 @@ class VerificationServer:
             if cached is not None:
                 self.telemetry.incr("serve.breaker.cache_hit",
                                     len(waiters))
-            if self.telemetry.events is not None:
-                self.telemetry.events.emit(
-                    "serve.degraded", program=spec.name,
-                    cached=cached is not None, waiters=len(waiters),
-                )
+            self.telemetry.events.note(
+                "serve.degraded", program=spec.name,
+                cached=cached is not None, waiters=len(waiters),
+            )
         reason = ("the prover backend is unavailable (circuit breaker "
                   "open); answering degraded while it heals")
         for waiter in waiters:
@@ -1001,7 +999,7 @@ class VerificationServer:
                     "breakdown": breakdown,
                     "coalesced": len(waiters),
                     "generation": self.governor.generation,
-                    "batch": self._batches,
+                    "batch": self.telemetry.counters.get("serve.batch", 0),
                     "deadline_ms": waiter.deadline_ms,
                     "deadline_expired": False,
                     "degraded": True,
@@ -1026,7 +1024,7 @@ class VerificationServer:
                     "breakdown": breakdown,
                     "coalesced": len(waiters),
                     "generation": self.governor.generation,
-                    "batch": self._batches,
+                    "batch": self.telemetry.counters.get("serve.batch", 0),
                     "deadline_ms": waiter.deadline_ms,
                     "deadline_expired": False,
                     "degraded": True,
@@ -1039,14 +1037,13 @@ class VerificationServer:
     # -- stats and artifacts -------------------------------------------------
 
     def _series_snapshot(self) -> dict:
-        """The sampler's callback: one consistent registry snapshot,
-        with daemon-level gauges injected so their last-values ride the
-        same windows as the counters they explain."""
-        with self._telemetry_lock:
-            snapshot = registry_snapshot(
-                dict(self.telemetry.counters),
-                self.telemetry.metrics.export(),
-            )
+        """The sampler's callback: one registry snapshot, with
+        daemon-level gauges injected so their last-values ride the same
+        windows as the counters they explain.  The prover thread keeps
+        recording meanwhile; the snapshot copies each dict in one step
+        (see :mod:`repro.obs.metrics`)."""
+        snapshot = registry_snapshot(self.telemetry.counters,
+                                     self.telemetry.metrics.export())
         snapshot["gauges"]["serve.admission.inflight"] = float(
             self.admission.inflight
         )
@@ -1058,8 +1055,34 @@ class VerificationServer:
         )
         return snapshot
 
-    def _uptime_s(self) -> float:
-        return round(time.monotonic() - self._started_mono, 3)
+    def _stamps(self) -> dict:
+        """The hygiene stamps every observability payload carries: the
+        schema tag, a sequence number shared by every frame kind (so a
+        scraper can detect stale or out-of-order reads) and uptime."""
+        return {
+            "schema_version": STATS_SCHEMA_VERSION,
+            "generated_at": next(self._stats_seq),
+            "uptime_s": round(time.monotonic() - self._started_mono, 3),
+        }
+
+    def _snapshot(self) -> Tuple[dict, Dict[str, int]]:
+        """The stamps and the daemon's state as the ``stats`` frame and
+        the ``--stats-out`` payload report them, and the counters (one
+        copy) they were read from."""
+        counters = dict(self.telemetry.counters)
+        return {
+            **self._stamps(),
+            "batches": counters.get("serve.batch", 0),
+            "submissions": counters.get("serve.submissions", 0),
+            "coalesced": counters.get("serve.batch.coalesced", 0),
+            "flush_errors": counters.get("serve.flush_error", 0),
+            "client_drops": counters.get("serve.client_drop", 0),
+            "sessions": self.sessions.stats(),
+            "governor": self.governor.to_dict(),
+            "invalidation": self.invalidation.stats(),
+            "admission": self.admission.stats(),
+            "breaker": self.breaker.to_dict(),
+        }, counters
 
     def _metrics_frame(self, request: dict) -> dict:
         """A ``metrics`` response: rolling-window rates and quantiles,
@@ -1072,9 +1095,7 @@ class VerificationServer:
         snapshot = self._series_snapshot()
         return {
             "type": "metrics",
-            "schema_version": STATS_SCHEMA_VERSION,
-            "generated_at": next(self._stats_seq),
-            "uptime_s": self._uptime_s(),
+            **self._stamps(),
             "address": self.address_str,
             "window": self.series.to_dict(over=over),
             "totals": snapshot,
@@ -1092,9 +1113,7 @@ class VerificationServer:
         )
         frame.update({
             "type": "health",
-            "schema_version": STATS_SCHEMA_VERSION,
-            "generated_at": next(self._stats_seq),
-            "uptime_s": self._uptime_s(),
+            **self._stamps(),
             "address": self.address_str,
             "sampler": {"errors": self.sampler.errors,
                         **self.series.stats()},
@@ -1103,70 +1122,52 @@ class VerificationServer:
 
     def _stats_frame(self) -> dict:
         """A point-in-time ``stats`` response."""
-        with self._telemetry_lock:
-            counters = dict(self.telemetry.counters)
+        serve, counters = self._snapshot()
         return {
             "type": "stats",
-            "schema_version": STATS_SCHEMA_VERSION,
-            "generated_at": next(self._stats_seq),
-            "uptime_s": self._uptime_s(),
+            **serve,
             "address": self.address_str,
-            "batches": self._batches,
-            "submissions": self._submitted,
-            "coalesced": self._coalesced,
-            "flush_errors": self._flush_errors,
-            "client_drops": self._client_drops,
-            "sessions": self.sessions.stats(),
-            "governor": self.governor.to_dict(),
-            "invalidation": self.invalidation.stats(),
-            "admission": self.admission.stats(),
-            "breaker": self.breaker.to_dict(),
             "verdict_cache": len(self._verdict_cache),
             "counters": counters,
         }
 
     def _flush_outputs(self) -> None:
-        """Flush the flight recorder and rewrite the stats payload (both
-        crash-safe: bound events append, the stats file replaces
-        atomically) so a killed daemon still leaves artifacts.
+        """Flush the flight recorder, dropping what it wrote from
+        memory, and rewrite the stats payload (both crash-safe: bound
+        events append, the stats file replaces atomically) so a killed
+        daemon still leaves artifacts.
 
         I/O failures (full disk, vanished directory) are counted, never
         raised: flushing artifacts must not take the prover thread —
-        or ``close()`` — down with it.  The temp file is uniquely named
-        so concurrent flushers (the prover thread racing ``close()``
-        after a join timeout) never write through the same path.
+        or ``close()`` — down with it; events a failed flush did not
+        write stay in memory for the next one.  The stats file is
+        written outside the telemetry lock, so a shed never waits for
+        it; its temp file is uniquely named so concurrent flushers (the
+        prover thread racing ``close()`` after a join timeout) never
+        write through the same path.
         """
-        with self._telemetry_lock:
-            try:
-                if self.telemetry.events is not None:
-                    self.telemetry.events.flush()
-                if self.options.stats_out:
-                    self._write_stats(self.options.stats_out)
-            except OSError:
-                self._flush_errors += 1
-                self.telemetry.incr("serve.flush_error")
+        try:
+            with self._telemetry_lock:
+                self.telemetry.events.flush()
+                self.telemetry.events.compact()
+            if self.options.stats_out:
+                self._write_stats(self.options.stats_out)
+        except OSError:
+            self._count("serve.flush_error")
 
     def _write_stats(self, out: str) -> None:
-        """Atomically replace ``out`` with the current stats payload."""
+        """Atomically replace ``out`` with the current stats payload.
+
+        The flight recorder's events are not embedded: the
+        ``--events-out`` file holds them."""
+        serve, _ = self._snapshot()
+        serve["recent_submissions"] = list(self._recent)
+        telemetry = self.telemetry.to_dict()
+        del telemetry["events"]
         payload = {
-            "serve": {
-                "schema_version": STATS_SCHEMA_VERSION,
-                "generated_at": next(self._stats_seq),
-                "uptime_s": self._uptime_s(),
-                "batches": self._batches,
-                "submissions": self._submitted,
-                "coalesced": self._coalesced,
-                "flush_errors": self._flush_errors,
-                "client_drops": self._client_drops,
-                "sessions": self.sessions.stats(),
-                "governor": self.governor.to_dict(),
-                "invalidation": self.invalidation.stats(),
-                "admission": self.admission.stats(),
-                "breaker": self.breaker.to_dict(),
-                "recent_submissions": list(self._recent),
-            },
+            "serve": serve,
             "timeseries": self.series.to_dict(),
-            "telemetry": self.telemetry.to_dict(),
+            "telemetry": telemetry,
         }
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(out)) or None,

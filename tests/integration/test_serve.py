@@ -442,7 +442,7 @@ class TestObservabilityOverTheWire:
             client.submit(car.SOURCE)
             server.sampler.sample_once()  # don't wait for the interval
             frame = client.metrics(over=60)
-        assert frame["schema_version"] == 1
+        assert frame["schema_version"] == 2
         assert validate_exposition(frame["exposition"]) == []
         summary = frame["window"]["histograms"]["serve.verify.seconds"]
         assert summary["count"] >= 1

@@ -40,29 +40,6 @@ class TestEmit:
         json.dumps(log.events[0].to_dict())  # must not raise
 
 
-class TestMerge:
-    """Worker-log folding with re-stamping."""
-
-    def test_merge_restamps_seq_and_offsets_t(self):
-        parent, worker = EventLog(worker="main"), EventLog(worker="w1")
-        parent.emit("parent.first")
-        worker.emit("worker.event")
-        skew = 3.0  # pretend the worker epoch is 3s after the parent's
-        parent.merge(parent.epoch_wall + skew, worker.events)
-        merged = parent.events[-1]
-        assert merged.seq == len(parent.events) - 1
-        assert merged.worker == "w1"
-        assert merged.t >= skew
-
-    def test_merge_preserves_internal_order(self):
-        parent, worker = EventLog(), EventLog(worker="w1")
-        worker.emit("first")
-        worker.emit("second")
-        parent.merge(worker.epoch_wall, worker.events)
-        kinds = [event.kind for event in parent.events]
-        assert kinds == ["first", "second"]
-
-
 class TestFileBacking:
     """bind/flush incremental writes and whole-log round trips."""
 
@@ -228,17 +205,6 @@ class TestCompact:
         log.flush()
         seqs = [record["seq"] for record in read_jsonl(path)]
         assert seqs == [0, 1, 2]
-
-    def test_merge_after_compaction_continues_seq(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        parent, worker = EventLog(), EventLog(worker="w1")
-        parent.bind(path)
-        parent.emit("parent.first")
-        parent.flush()
-        parent.compact()
-        worker.emit("worker.event")
-        parent.merge(parent.epoch_wall, worker.events)
-        assert parent.events[-1].seq == 1
 
 
 class TestEventDataclass:

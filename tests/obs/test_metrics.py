@@ -98,7 +98,7 @@ class TestHistogram:
 
 
 class TestRegistry:
-    """Counters, gauges, histograms and their merge semantics."""
+    """Counters, gauges, histograms and their summaries."""
 
     def test_counters_gauges_histograms(self):
         registry = MetricsRegistry()
@@ -108,25 +108,6 @@ class TestRegistry:
         assert registry.counters["solver.implies"] == 3
         assert registry.gauges["cache.size"] == 17.0
         assert registry.histograms["solver.query.seconds"].count == 1
-
-    def test_merge_folds_histograms_but_not_counters(self):
-        """Counters travel on the flat telemetry path (the facade aliases
-        the dict); merging them here too would double-count."""
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.incr("solver.implies", 5)
-        worker.observe("solver.query.seconds", 0.001)
-        parent.merge(worker.export())
-        assert "solver.implies" not in parent.counters
-        assert parent.histograms["solver.query.seconds"].count == 1
-
-    def test_merge_keeps_parent_gauges(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.gauge("cache.hit_ratio", 0.9)
-        worker.gauge("cache.hit_ratio", 0.1)
-        worker.gauge("worker.only", 3.0)
-        parent.merge(worker.export())
-        assert parent.gauges["cache.hit_ratio"] == 0.9
-        assert parent.gauges["worker.only"] == 3.0
 
     def test_summaries_sorted_by_total_descending(self):
         registry = MetricsRegistry()

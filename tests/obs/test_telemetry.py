@@ -1,7 +1,6 @@
-"""Tests for the telemetry sink: counters, spans, nesting, merging."""
+"""Tests for the telemetry sink: counters, spans, nesting, retention."""
 
 import json
-import multiprocessing
 import random
 
 import pytest
@@ -64,14 +63,6 @@ class TestSpans:
 
 
 class TestMergeAndRender:
-    def test_merge_folds_worker_results(self):
-        parent = obs.Telemetry()
-        parent.incr("solver.implies", 2)
-        parent.merge({"solver.implies": 3, "seval.paths": 1},
-                     [obs.Span("search", 0.1)])
-        assert parent.counters == {"solver.implies": 5, "seval.paths": 1}
-        assert [s.name for s in parent.spans] == ["search"]
-
     def test_to_dict_is_json_ready(self):
         with obs.use(obs.Telemetry()) as telemetry:
             obs.incr("solver.implies")
@@ -125,45 +116,20 @@ class TestSpanCap:
         assert abs(telemetry.stage_seconds()["search"] - 1.0) < 1e-9
         assert telemetry.span_counts() == {"search": 4}
 
-    def test_cap_configurable_via_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_MAX_SPANS", "5")
-        assert obs.Telemetry().max_spans == 5
-        monkeypatch.setenv("REPRO_PROFILE_MAX_SPANS", "not-a-number")
-        assert obs.Telemetry().max_spans == 256
-
-    def test_merge_export_respects_the_cap(self):
-        parent = obs.Telemetry(max_spans=2)
-        worker = obs.Telemetry(max_spans=16, worker="w1")
-        for seconds in (0.1, 0.5, 0.9):
-            worker.record(obs.Span("task", seconds))
-        parent.merge_export(worker.export())
-        assert len(parent.spans) == 2
-        payload = parent.to_dict()
-        assert payload["spans_total"] == 3
-        assert abs(payload["stage_seconds"]["task"] - 1.5) < 1e-9
-
     @pytest.mark.parametrize("seed", range(20))
     def test_retention_matches_a_plain_reference(self, seed):
-        """Through ``record`` and ``merge_export``, with repeated
-        durations, the sink keeps the ``max_spans`` largest spans by
-        (seconds, arrival) — the oldest goes on a tie — and lists them
-        in arrival order; ``to_dict`` lists them slowest first."""
+        """With repeated durations, the sink keeps the ``max_spans``
+        largest spans by (seconds, arrival) — the oldest goes on a tie —
+        and lists them in arrival order; ``to_dict`` lists them slowest
+        first."""
         rng = random.Random(seed)
         cap = rng.randint(1, 6)
         sink = obs.Telemetry(max_spans=cap)
         arrived = []
-        for step in range(rng.randint(0, 40)):
-            if rng.random() < 0.3:
-                worker = obs.Telemetry(max_spans=64, worker="w")
-                for i in range(rng.randint(0, 8)):
-                    worker.record(obs.Span(f"w{step}.{i}",
-                                           rng.choice((0.1, 0.2, 0.3))))
-                sink.merge_export(worker.export())
-                arrived.extend(worker.spans)
-            else:
-                span_ = obs.Span(f"r{step}", rng.choice((0.1, 0.2, 0.3)))
-                sink.record(span_)
-                arrived.append(span_)
+        for step in range(rng.randint(0, 80)):
+            span_ = obs.Span(f"r{step}", rng.choice((0.1, 0.2, 0.3)))
+            sink.record(span_)
+            arrived.append(span_)
         order = sorted(range(len(arrived)),
                        key=lambda i: (arrived[i].seconds, i))
         kept = sorted(order[max(0, len(arrived) - cap):])
@@ -215,45 +181,3 @@ class TestSinkSwaps:
                     pass
         by_name = {s.name: s for s in sink.tracer.spans}
         assert by_name["child"].parent_id == by_name["parent"].span_id
-
-
-def _forked_worker_main(exported_queue):
-    """Runs in a forked child: install a fresh sink the way a pool
-    initializer does, do some work, ship the export home."""
-    sink = obs.Telemetry(trace=True, worker="w-child")
-    with obs.use(sink):
-        obs.incr("child.counter", 7)
-        with obs.span("child-task"):
-            pass
-    exported_queue.put(sink.export())
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
-class TestForkedWorkerSinks:
-    """Sink swaps across a forked worker initializer (the pool path)."""
-
-    def test_child_sink_is_isolated_from_the_parent(self):
-        context = multiprocessing.get_context("fork")
-        queue = context.Queue()
-        parent = obs.Telemetry(trace=True, worker="main")
-        with obs.use(parent):
-            obs.incr("parent.counter")
-            with obs.span("parent-task"):
-                process = context.Process(
-                    target=_forked_worker_main, args=(queue,))
-                process.start()
-                exported = queue.get(timeout=30)
-                process.join(timeout=30)
-        # The fork inherited the parent's installed sink, but the
-        # child's own work landed only on the child's sink.
-        assert parent.counters == {"parent.counter": 1}
-        assert [s.name for s in parent.spans] == ["parent-task"]
-        assert exported["counters"] == {"child.counter": 7}
-        # Merging the shipped export works and keeps ids disjoint.
-        parent.merge_export(exported)
-        ids = [s.span_id for s in parent.tracer.spans]
-        assert len(ids) == len(set(ids)) == 2
-        assert parent.counters["child.counter"] == 7

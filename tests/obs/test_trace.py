@@ -1,7 +1,5 @@
 """Unit tests for the hierarchical tracer (`repro.obs.trace`)."""
 
-import pickle
-
 from repro.obs.trace import Tracer, TraceSpan
 
 
@@ -55,51 +53,6 @@ class TestPushPop:
         outer_span = tracer.pop(outer)
         assert outer_span.start <= inner_span.start
         assert inner_span.end <= outer_span.end
-
-
-class TestMerge:
-    """Worker-tree merging with clock-offset normalization."""
-
-    def test_merge_offsets_worker_starts_onto_parent_epoch(self):
-        parent = Tracer(worker="main")
-        worker = Tracer(worker="w1")
-        worker_span = worker.pop(worker.push("task"))
-        skew = 5.0  # pretend the worker epoch is 5s after the parent's
-        parent.merge("w1", parent.epoch_wall + skew, worker.spans)
-        merged = parent.spans[-1]
-        assert merged.start == worker_span.start + skew
-        assert merged.seconds == worker_span.seconds
-        assert merged.worker == "w1"
-
-    def test_merge_preserves_ancestry(self):
-        parent = Tracer(worker="main")
-        worker = Tracer(worker="w1")
-        outer = worker.push("outer")
-        worker.pop(worker.push("inner"))
-        worker.pop(outer)
-        parent.merge("w1", worker.epoch_wall, worker.spans)
-        index = parent.span_index()
-        inner = next(s for s in parent.spans if s.name == "inner")
-        assert inner.parent_id in index
-        assert index[inner.parent_id].name == "outer"
-
-    def test_export_round_trips_through_pickle(self):
-        worker = Tracer(worker="w7")
-        worker.pop(worker.push("task", (("kind", "ni_part"),)))
-        shipped = pickle.loads(pickle.dumps(worker.export()))
-        parent = Tracer(worker="main")
-        parent.merge(shipped["worker"], shipped["epoch_wall"],
-                     shipped["spans"])
-        assert parent.spans[-1].attrs == (("kind", "ni_part"),)
-
-    def test_workers_lists_parent_first(self):
-        parent = Tracer(worker="main")
-        parent.pop(parent.push("top"))
-        for name in ("w9", "w2"):
-            worker = Tracer(worker=name)
-            worker.pop(worker.push("task"))
-            parent.merge(name, worker.epoch_wall, worker.spans)
-        assert parent.workers() == ["main", "w2", "w9"]
 
 
 class TestSerialization:

@@ -8,15 +8,21 @@ lives in ``tests/integration/test_serve.py``.
 """
 
 import itertools
+import json
+import os
 import queue
 import socket
 import struct
 import sys
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
+from repro.frontend import parse_program
 from repro.prover import Verifier
 from repro.prover.proofstore import ProofStore
 from repro.props.spec import NonInterference
@@ -30,7 +36,8 @@ from repro.serve.server import (
     _Submission,
 )
 from repro.serve.session import SessionRegistry
-from repro.systems import car
+from repro.symbolic.expr import reset_interning
+from repro.systems import BENCHMARKS, car
 
 
 def submission(server, source, stream=False):
@@ -641,7 +648,6 @@ class TestClientDrops:
         with pytest.raises(_ClientGone):
             server._send(theirs, {"type": "verdict"})
         theirs.close()
-        assert server._client_drops == 1
         assert server.telemetry.counters["serve.client_drop"] == 1
         assert server._stats_frame()["client_drops"] == 1
 
@@ -667,7 +673,7 @@ class TestClientDrops:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(server.sessions) == 0
-        assert server._client_drops == 1
+        assert server._stats_frame()["client_drops"] == 1
 
 
 class TestMalformedFrames:
@@ -808,7 +814,7 @@ class TestMetricsFrame:
 
         frame = server._metrics_frame({})
         assert frame["type"] == "metrics"
-        assert frame["schema_version"] == 1
+        assert frame["schema_version"] == 2
         assert frame["uptime_s"] >= 0.0
         assert set(frame["window"]) \
             >= {"stats", "span_seconds", "rates", "gauges", "histograms"}
@@ -862,7 +868,7 @@ class TestStatsHygiene:
         first = server._stats_frame()
         second = server._stats_frame()
         for frame in (first, second):
-            assert frame["schema_version"] == 1
+            assert frame["schema_version"] == 2
             assert frame["uptime_s"] >= 0.0
         assert second["generated_at"] > first["generated_at"]
 
@@ -889,10 +895,261 @@ class TestStatsHygiene:
         with open(out, "r", encoding="utf-8") as handle:
             payload = json_mod.load(handle)
         serve = payload["serve"]
-        assert serve["schema_version"] == 1
+        assert serve["schema_version"] == 2
         assert serve["uptime_s"] >= 0.0
         assert serve["generated_at"] >= 1
         rows = serve["recent_submissions"]
         assert rows and rows[0]["submit_id"] == "sub-1"
         assert "timeseries" in payload
         assert payload["timeseries"]["stats"]["samples"] >= 2
+
+
+def car_edit(i):
+    """The car kernel with one handler's string literal edited."""
+    return car.SOURCE.replace('"crank it up"', f'"crank it up {i}"')
+
+
+class TestGroupTelemetry:
+    """Each verify group records straight into the daemon's sink."""
+
+    def test_verdict_counters_match_a_fresh_sink(self, tmp_path):
+        """Cold and warm, a verdict's counters are what a fresh sink
+        records for the same verification from the same cache and
+        store state."""
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "daemon")))
+        reference_options = replace(server.prover_options,
+                                    proof_store=str(tmp_path / "ref"))
+        for state in ("cold", "warm"):
+            reset_interning()
+            sub = submission(server, car.SOURCE)
+            server._process_batch([sub])
+            verdict = drain(sub.replies)[-1]
+            reset_interning()
+            with obs.use(obs.Telemetry()) as reference:
+                Verifier(parse_program(car.SOURCE),
+                         reference_options).verify_all()
+            assert verdict["counters"], state
+            assert verdict["counters"] == reference.counters, state
+
+    def test_daemon_counters_are_its_verdicts_plus_its_own(self, server):
+        """After coalesced, parse-error, deadline and degraded groups,
+        the prover counters in the daemon's sink are the sum of the
+        groups' verdict counters; the rest are ``serve.*``."""
+        groups = []
+        coalesced = [submission(server, car.SOURCE) for _ in range(3)]
+        server._process_batch(coalesced)
+        frames = [drain(sub.replies)[-1] for sub in coalesced]
+        assert len({json.dumps(f["counters"], sort_keys=True)
+                    for f in frames}) == 1
+        groups.append(frames[0])
+
+        broken = submission(server, "program broken {")
+        server._process_batch([broken])
+        assert drain(broken.replies)[-1]["code"] == "parse-error"
+
+        rushed = submission(server, car_edit(1))
+        rushed.deadline_ms = 1
+        rushed.deadline = time.monotonic() - 0.001
+        server._process_batch([rushed])
+        groups.append(drain(rushed.replies)[-1])
+        assert groups[-1]["deadline_expired"] is True
+
+        for _ in range(server.breaker.threshold):
+            server.breaker.record_failure()
+        degraded = submission(server, car_edit(2))
+        server._process_batch([degraded])
+        groups.append(drain(degraded.replies)[-1])
+        assert groups[-1]["degraded"] is True
+
+        expected = Counter()
+        for verdict in groups:
+            expected.update(verdict["counters"])
+        counters = dict(server.telemetry.counters)
+        own = {name: amount for name, amount in counters.items()
+               if name.startswith("serve.")}
+        assert {"serve.batch", "serve.parse_error",
+                "serve.deadline.expired", "serve.breaker.shed"} <= set(own)
+        assert counters == {**expected, **own}
+
+    def test_readers_on_other_threads_race_the_prover(self, tmp_path):
+        """The sampler and the observability frames read the live sink
+        while twenty groups record into it, without a lock."""
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "ps"), sample_interval=0.01))
+        failures = []
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                try:
+                    server._series_snapshot()
+                    server._stats_frame()
+                    server._metrics_frame({})
+                except Exception as error:  # noqa: BLE001
+                    failures.append(repr(error))
+                time.sleep(0.001)  # let the prover thread run too
+
+        reader = threading.Thread(target=read, daemon=True)
+        server.sampler.start()
+        reader.start()
+        try:
+            sources = [module.SOURCE for module in BENCHMARKS.values()]
+            sources += [car_edit(i) for i in range(20 - len(sources))]
+            for source in sources:
+                sub = submission(server, source)
+                server._process_batch([sub])
+                assert drain(sub.replies)[-1]["type"] == "verdict"
+        finally:
+            stop.set()
+            reader.join(timeout=30)
+            server.sampler.stop()
+        assert not reader.is_alive()
+        assert failures == []
+        assert server.sampler.errors == 0
+
+    def test_connection_threads_count_while_groups_verify(self,
+                                                          tmp_path):
+        """Connection threads count drops into the sink the prover
+        thread is recording into: no count or event is lost, ``seq``
+        follows file order, and no verdict picks up a ``serve.*``
+        counter."""
+        events_out = str(tmp_path / "events.jsonl")
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "ps"), events_out=events_out))
+        server.telemetry.events.bind(events_out)
+        done = threading.Event()
+        dropped = []
+
+        def drop_clients():
+            count = 0
+            while not done.wait(0.002):  # bursts of drops
+                for _ in range(20):
+                    server._note_client_drop("verdict")
+                count += 20
+            dropped.append(count)
+
+        droppers = [threading.Thread(target=drop_clients, daemon=True)
+                    for _ in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for dropper in droppers:
+                dropper.start()
+            verdicts = []
+            for i in range(5):
+                sub = TestRequestTracing.admitted(server, car_edit(i))
+                server._process_batch([sub])
+                verdicts.append(drain(sub.replies)[-1])
+        finally:
+            done.set()
+            for dropper in droppers:
+                dropper.join(timeout=60)
+            sys.setswitchinterval(previous)
+        assert not any(dropper.is_alive() for dropper in droppers)
+        server._flush_outputs()
+
+        total = sum(dropped)
+        assert server.telemetry.counters["serve.client_drop"] == total
+        records = obs.read_jsonl(events_out)
+        seqs = [record["seq"] for record in records]
+        assert seqs == sorted(set(seqs))
+        assert sum(r["kind"] == "serve.client_drop"
+                   for r in records) == total
+        for verdict in verdicts:
+            assert verdict["type"] == "verdict"
+            assert verdict["counters"]
+            assert not any(name.startswith("serve.")
+                           for name in verdict["counters"])
+
+    def test_group_work_carries_its_submit_ids(self, tmp_path,
+                                               monkeypatch):
+        """Obligation spans and events carry their group's submit ids,
+        a streaming waiter gets only its own group's events, and the
+        daemon's own events (a drop while a group runs, the governor's
+        collection) carry no submit id and are never streamed."""
+        events_out = str(tmp_path / "events.jsonl")
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "ps"), events_out=events_out))
+        server.telemetry.events.bind(events_out)
+        server.governor.max_intern_terms = 1  # collect after the batch
+        server.telemetry.max_spans = 10_000  # retain every span
+        real_verify_all = Verifier.verify_all
+
+        def verify_all_while_a_client_drops(verifier):
+            drop = threading.Thread(target=server._note_client_drop,
+                                    args=("verdict",))
+            drop.start()
+            drop.join(timeout=30)
+            assert not drop.is_alive()
+            return real_verify_all(verifier)
+
+        monkeypatch.setattr(Verifier, "verify_all",
+                            verify_all_while_a_client_drops)
+        a = TestRequestTracing.admitted(server, car.SOURCE, stream=True)
+        b = TestRequestTracing.admitted(server, car_edit(3), stream=True)
+        server._process_batch([a, b])
+
+        obligations = [span for span in server.telemetry.spans
+                       if span.name == "obligation"]
+        assert len(obligations) \
+            == server.telemetry.span_counts()["obligation"]
+        assert {dict(span.attrs)["submit_id"] for span in obligations} \
+            == {a.submit_id, b.submit_id}
+        for sub in (a, b):
+            frames = drain(sub.replies)
+            assert frames[-1]["type"] == "verdict"
+            streamed = [f["event"] for f in frames if f["type"] == "event"]
+            assert streamed
+            assert {event["submit_id"] for event in streamed} \
+                == {sub.submit_id}
+            assert {"seq", "t", "kind", "worker"} <= set(streamed[0])
+
+        records = obs.read_jsonl(events_out)
+        lifecycle = [r for r in records
+                     if r["kind"].startswith("obligation.")]
+        assert {r["submit_id"] for r in lifecycle} \
+            == {a.submit_id, b.submit_id}
+        daemon_own = [r for r in records
+                      if r["kind"] in ("serve.collection",
+                                       "serve.client_drop")]
+        assert {r["kind"] for r in daemon_own} \
+            == {"serve.collection", "serve.client_drop"}
+        assert not any("submit_id" in r for r in daemon_own)
+
+
+class TestFlightRecorder:
+    def test_events_out_stays_flat_and_records_every_group(self,
+                                                           tmp_path):
+        """With ``--events-out`` and ``--stats-out``, neither the events
+        held in memory nor the stats file grow with the batches, and
+        the file holds every group's events, tagged, in ``seq`` order."""
+        events_out = str(tmp_path / "events.jsonl")
+        stats_out = str(tmp_path / "stats.json")
+        server = VerificationServer(ServeOptions(
+            store=str(tmp_path / "ps"), events_out=events_out,
+            stats_out=stats_out, sample_interval=3600))
+        server.telemetry.events.bind(events_out)
+        held, sizes, ids = [], [], []
+        for i in range(20):
+            sub = TestRequestTracing.admitted(server, car_edit(i))
+            server._process_batch([sub])
+            assert drain(sub.replies)[-1]["type"] == "verdict"
+            ids.append(sub.submit_id)
+            held.append(len(server.telemetry.events.events))
+            sizes.append(os.path.getsize(stats_out))
+
+        records = obs.read_jsonl(events_out)
+        seqs = [record["seq"] for record in records]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        lifecycle = [r for r in records
+                     if r["kind"].startswith("obligation.")]
+        assert {r["submit_id"] for r in lifecycle} == set(ids)
+        assert held == [held[0]] * 20
+        # Ten more batches grow the stats file by less than one group's
+        # events would take (the recent-submissions ring still fills).
+        one_group = sum(len(json.dumps(r)) for r in records
+                        if r.get("submit_id") == ids[-1])
+        assert sizes[-1] - sizes[9] < one_group
+        with open(stats_out, encoding="utf-8") as handle:
+            assert "events" not in json.load(handle)["telemetry"]
