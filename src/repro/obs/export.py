@@ -5,11 +5,11 @@ Three consumers, three formats:
 * :func:`chrome_trace` turns a hierarchical trace (the
   ``telemetry["trace"]`` section of a ``repro verify --json`` payload)
   into the Chrome trace-event format — load the file at
-  ``ui.perfetto.dev`` (or ``chrome://tracing``) and every worker appears
-  as its own track, spans nested as they ran;
+  ``ui.perfetto.dev`` (or ``chrome://tracing``) and the run appears as
+  one track, spans nested as they ran;
 * :func:`render_report` turns a whole run payload into the text report
-  behind ``repro report <run.json>``: slowest obligations, per-stage and
-  per-worker utilization, histogram summaries, and cache statistics —
+  behind ``repro report <run.json>``: slowest obligations, per-stage
+  seconds, histogram summaries, and cache statistics —
   plus, for a serve daemon's stats payload, the live-operations view
   (recent per-submission latency breakdowns and windowed rates);
 * :func:`prometheus_exposition` renders a metrics snapshot (counters,
@@ -45,29 +45,18 @@ def _telemetry_of(payload: dict) -> dict:
 def chrome_trace(trace: dict) -> dict:
     """Chrome trace-event JSON for one hierarchical trace dict.
 
-    One process, one thread ("track") per worker; every span becomes a
-    complete ("X") event with microsecond timestamps, its identity and
-    ancestry preserved in ``args``.
+    One process with one thread ("track"), named ``main``; every span
+    becomes a complete ("X") event with microsecond timestamps, its
+    identity and ancestry preserved in ``args``.
     """
-    spans = trace.get("spans", [])
-    workers: List[str] = []
-    for span in spans:
-        worker = span.get("worker", "main")
-        if worker not in workers:
-            workers.append(worker)
-    main = trace.get("worker", "main")
-    workers.sort(key=lambda w: (w != main, w))
-    tids = {worker: index for index, worker in enumerate(workers)}
     events: List[dict] = [{
         "ph": "M", "pid": 0, "tid": 0, "name": "process_name",
         "args": {"name": f"repro run {trace.get('run_id', '?')}"},
+    }, {
+        "ph": "M", "pid": 0, "tid": 0, "name": "thread_name",
+        "args": {"name": "main"},
     }]
-    for worker, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append({
-            "ph": "M", "pid": 0, "tid": tid, "name": "thread_name",
-            "args": {"name": worker},
-        })
-    for span in spans:
+    for span in trace.get("spans", []):
         args = dict(span.get("attrs", {}))
         args["span_id"] = span["span_id"]
         if span.get("parent_id"):
@@ -75,7 +64,7 @@ def chrome_trace(trace: dict) -> dict:
         events.append({
             "ph": "X",
             "pid": 0,
-            "tid": tids[span.get("worker", "main")],
+            "tid": 0,
             "name": span["name"],
             "cat": "repro",
             "ts": round(span["start"] * 1e6, 3),
@@ -270,59 +259,10 @@ def _obligation_rows(telemetry: dict) -> List[dict]:
             "property": attrs.get("property", "?"),
             "kind": attrs.get("kind", "?"),
             "part": where,
-            "worker": span.get("worker", "main"),
             "seconds": span["seconds"],
         })
     rows.sort(key=lambda r: -r["seconds"])
     return rows
-
-
-def _union_seconds(intervals: List[tuple]) -> float:
-    """Total length of the union of ``(start, end)`` intervals."""
-    total = 0.0
-    edge = float("-inf")
-    for start, end in sorted(intervals):
-        if end <= edge:
-            continue
-        total += end - max(start, edge)
-        edge = end
-    return total
-
-
-def _worker_rows(trace: dict) -> List[dict]:
-    """Per-worker busy/utilization rows from a hierarchical trace.
-
-    A worker's *busy* time is the interval union of its root spans
-    (spans whose parent is absent from the trace — the tops of each
-    shipped tree; a union, because per-worker one-off work such as the
-    symbolic step build is captured as its own root overlapping the
-    task that triggered it); utilization is busy time over the whole
-    run window."""
-    spans = trace.get("spans", [])
-    if not spans:
-        return []
-    known = {span["span_id"] for span in spans}
-    window_start = min(span["start"] for span in spans)
-    window_end = max(span["start"] + span["seconds"] for span in spans)
-    window = max(window_end - window_start, 1e-9)
-    roots: Dict[str, List[tuple]] = {}
-    counts: Dict[str, int] = {}
-    for span in spans:
-        worker = span.get("worker", "main")
-        counts[worker] = counts.get(worker, 0) + 1
-        if span.get("parent_id") not in known:
-            roots.setdefault(worker, []).append(
-                (span["start"], span["start"] + span["seconds"])
-            )
-    busy = {worker: _union_seconds(intervals)
-            for worker, intervals in roots.items()}
-    return [{
-        "worker": worker,
-        "spans": counts[worker],
-        "busy": busy.get(worker, 0.0),
-        "utilization": busy.get(worker, 0.0) / window,
-    } for worker in sorted(counts, key=lambda w: (w != trace.get(
-        "worker", "main"), w))]
 
 
 def _cache_rows(counters: Dict[str, int]) -> List[dict]:
@@ -433,7 +373,7 @@ def render_report(payload: dict) -> str:
             where = f" {row['part']}" if row["part"] else ""
             lines.append(
                 f"  {row['seconds']:9.4f}s  {row['property']}"
-                f"{where}  [{row['kind']}, {row['worker']}]"
+                f"{where}  [{row['kind']}]"
             )
     else:
         lines.append("  (no obligation spans recorded)")
@@ -445,21 +385,6 @@ def render_report(payload: dict) -> str:
         for name, seconds in sorted(stages.items(),
                                     key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"  {name:24s} {seconds:10.4f}")
-
-    trace = telemetry.get("trace")
-    if trace is not None:
-        rows = _worker_rows(trace)
-        if rows:
-            lines.append("")
-            lines.append("worker utilization:")
-            lines.append(f"  {'worker':<12} {'spans':>6} {'busy(s)':>9} "
-                         f"{'util':>6}")
-            for row in rows:
-                lines.append(
-                    f"  {row['worker']:<12} {row['spans']:>6} "
-                    f"{row['busy']:>9.4f} "
-                    f"{row['utilization'] * 100:>5.1f}%"
-                )
 
     metrics = telemetry.get("metrics")
     if metrics and metrics.get("histograms"):

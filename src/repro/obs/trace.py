@@ -14,8 +14,8 @@ run actually raises — *which* obligation was slowest, what was running
   ``engine`` → ``pipeline`` → ``tactics`` → ``solver`` call chain nests
   correctly without threading a span argument through every layer.
 
-Span identifiers embed the worker name and a per-process tracer serial,
-so two tracers in one process never hand out the same id.
+A trace has one track: every span of a run is recorded by the one
+tracer of its sink, and span ids count up from 1 within that tracer.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ _CURRENT: ContextVar[Optional[Tuple["Tracer", str]]] = ContextVar(
     "repro_obs_current_span", default=None
 )
 
-#: Tracer serials — they make span-id prefixes unique when one process
-#: hosts many tracers.
-_SERIALS = itertools.count(1)
-
-
 def new_run_id() -> str:
     """A fresh random run identifier (hex, collision-proof in practice)."""
     return os.urandom(8).hex()
@@ -49,8 +44,7 @@ def new_run_id() -> str:
 class TraceSpan:
     """One finished span in the hierarchical trace.
 
-    ``start`` is seconds since the owning run's epoch; ``worker`` names
-    the tracer's track (``main`` for a ``repro verify`` run).
+    ``start`` is seconds since the owning run's epoch.
     """
 
     name: str
@@ -58,7 +52,6 @@ class TraceSpan:
     parent_id: Optional[str]
     start: float
     seconds: float
-    worker: str
     attrs: Tuple[Tuple[str, str], ...] = ()
 
     @property
@@ -74,25 +67,8 @@ class TraceSpan:
             "parent_id": self.parent_id,
             "start": round(self.start, 6),
             "seconds": round(self.seconds, 6),
-            "worker": self.worker,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpan":
-        """Rebuild a span from its :meth:`to_dict` form."""
-        return cls(
-            name=data["name"],
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            start=float(data["start"]),
-            seconds=float(data["seconds"]),
-            worker=data.get("worker", "main"),
-            attrs=tuple(sorted(
-                (str(k), str(v))
-                for k, v in (data.get("attrs") or {}).items()
-            )),
-        )
 
 
 class _OpenSpan:
@@ -113,13 +89,10 @@ class Tracer:
     """Collects one run's span tree; span starts are offsets from the
     tracer's epoch."""
 
-    def __init__(self, run_id: Optional[str] = None,
-                 worker: str = "main") -> None:
+    def __init__(self, run_id: Optional[str] = None) -> None:
         self.run_id = run_id or new_run_id()
-        self.worker = worker
         self.epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
-        self._prefix = f"{worker}.{next(_SERIALS)}"
         self._ids = itertools.count(1)
         self.spans: List[TraceSpan] = []
 
@@ -132,7 +105,7 @@ class Tracer:
         current = _CURRENT.get()
         parent_id = current[1] if current is not None \
             and current[0] is self else None
-        span_id = f"{self._prefix}.{next(self._ids)}"
+        span_id = str(next(self._ids))
         open_span = _OpenSpan(
             name, span_id, parent_id,
             time.perf_counter() - self._epoch_perf,
@@ -155,7 +128,6 @@ class Tracer:
             parent_id=open_span.parent_id,
             start=open_span.start,
             seconds=max(0.0, seconds),
-            worker=self.worker,
             attrs=open_span.attrs,
         )
         self.spans.append(finished)
@@ -167,7 +139,6 @@ class Tracer:
         """JSON-ready form: run identity, epoch, and every span."""
         return {
             "run_id": self.run_id,
-            "worker": self.worker,
             "epoch_wall": round(self.epoch_wall, 6),
             "spans": [span_.to_dict() for span_ in self.spans],
         }

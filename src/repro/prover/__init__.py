@@ -25,13 +25,7 @@ from .engine import (
     prove,
     verify,
 )
-from .incremental import (
-    IncrementalReport,
-    IncrementalVerifier,
-    InvalidationMap,
-    changed_parts,
-    fragment_digests,
-)
+from .incremental import InvalidationMap, changed_parts, fragment_digests
 from .invariants import generalize, prove_invariant, validate_invariant
 from .ni import (
     Labeling,
@@ -61,8 +55,6 @@ __all__ = [
     "CandidateCounterexample",
     "find_model",
     "BoundedSpec",
-    "IncrementalReport",
-    "IncrementalVerifier",
     "InvalidationMap",
     "changed_parts",
     "fragment_digests",

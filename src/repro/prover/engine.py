@@ -68,7 +68,6 @@ from .derivation import (
     BoundedSpec,
     InvariantProof,
     InvariantSpec,
-    SkippedExchange,
     StepProof,
     TracePropertyProof,
 )
@@ -163,9 +162,9 @@ class PropertyResult:
     #: (see :mod:`repro.prover.counterexample`), when the model finder
     #: succeeds
     counterexample: Optional[object] = None
-    #: where the derivation came from: "searched", "store" (every
-    #: obligation served by the persistent proof store), or
-    #: "revalidated" (incremental reuse)
+    #: where the derivation came from: "store" when the persistent proof
+    #: store (or, for a fragment, the syntactic skip) answered every
+    #: obligation and nothing was searched, "searched" otherwise
     source: str = "searched"
     #: :meth:`derivation_key`'s last answer, with the proof it rendered
     _derivation: Optional[Tuple[object, str]] = field(
@@ -390,8 +389,8 @@ class KeyTable:
         if key is None:
             scope = self.slice_digests().get(part)
             if scope is None:
-                # Not an exchange of this kernel (a step of an adopted
-                # proof): the reference definition still keys it.
+                # Not an exchange of this kernel: the reference
+                # definition still keys it.
                 scope = dependency_digest(self.program, part)
             key = self._keys[memo] = obligation_key(
                 scope, self._rendered(prop), self.options,
@@ -625,7 +624,7 @@ class Verifier:
                 elif entry.checked:
                     # Checker approval recorded in-band at store time.
                     return proof, False, "store"
-        proof = self._search_trace(prop)
+        proof, searched = self._search_trace(prop)
         checked = False
         if self.options.check_proofs:
             with obs.span("check", property=prop.name):
@@ -636,28 +635,14 @@ class Verifier:
             # entries; the whole derivation is filed under the
             # obligation key.
             self._store.put(StoreEntry(ob.key, "trace", proof, checked))
-        return proof, checked, "searched"
+        return proof, checked, "searched" if searched else "store"
 
     # -- fragment-grained trace search -----------------------------------------
 
-    def fragment_keys(self, prop: TraceProperty) -> Dict[Part, str]:
-        """Every fragment's dependency-scoped content address for
-        ``prop`` (see :meth:`KeyTable.fragment_key`): the base case
-        under ``None`` plus one entry per exchange of the kernel.
-
-        Purely syntactic (no symbolic step is built), so a caller can
-        enumerate a property's fragment keys without verifying anything.
-        It also keys fragments the search never stores (syntactic
-        skips), and the table keeps them: :meth:`KeyTable.scoped_keys`
-        lists them too once this has run.
-        """
-        return {
-            part: self.keys.fragment_key(prop, part)
-            for part in self.keys.slice_digests()
-        }
-
-    def _search_trace(self, prop: TraceProperty) -> TracePropertyProof:
-        """The search stage for a trace property.
+    def _search_trace(self, prop: TraceProperty
+                      ) -> Tuple[TracePropertyProof, bool]:
+        """The search stage for a trace property: the derivation, and
+        whether any part of it was searched.
 
         Without a proof store this is one monolithic
         :func:`prove_trace_property` call.  With a store, the derivation
@@ -674,46 +659,49 @@ class Verifier:
         search is one call and is not interrupted."""
         if self._store is None:
             with obs.span("search", property=prop.name):
-                return prove_trace_property(self._tactic_context(), prop)
+                return prove_trace_property(self._tactic_context(),
+                                            prop), True
         scheme = scheme_of(prop)
         step = self.generic_step()
         tc = self._tactic_context()
         with obs.span("search", property=prop.name):
             self._check_deadline(prop)
-            base = self._fragment_base(tc, prop, scheme, step)
+            base, searched = self._fragment_base(tc, prop, scheme, step)
             steps: List[StepProof] = []
             for ex in step.exchanges:
                 self._check_deadline(prop)
-                steps.extend(
-                    self._fragment_exchange(tc, prop, scheme, step, ex)
-                )
+                part, fresh = self._fragment_exchange(tc, prop, scheme,
+                                                      step, ex)
+                steps.extend(part)
+                searched = searched or fresh
         return TracePropertyProof(
             property=prop, scheme=scheme, base=base, steps=tuple(steps),
-        )
+        ), searched
 
     def _fragment_base(self, tc, prop: TraceProperty, scheme,
-                       step: GenericStep) -> BaseProof:
+                       step: GenericStep) -> Tuple[BaseProof, bool]:
         key = self.keys.fragment_key(prop, None)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-base"
                 and isinstance(entry.payload, BaseProof)):
             if not trace_base_complaints(step, scheme, entry.payload):
                 obs.incr("trace.fragment.hit")
-                return entry.payload
+                return entry.payload, False
             obs.incr("trace.fragment.invalid")
         obs.incr("trace.fragment.searched")
         base = prove_trace_base(tc, prop, scheme)
         self._store.put(StoreEntry(key, "trace-base", base, True))
-        return base
+        return base, True
 
     def _fragment_exchange(self, tc, prop: TraceProperty, scheme,
-                           step: GenericStep, ex) -> List[StepProof]:
+                           step: GenericStep, ex
+                           ) -> Tuple[List[StepProof], bool]:
         # A syntactic skip is decided from syntax alone, so it never
         # costs a store read, a write or a revalidation; the check stage
         # still validates it in the assembled derivation.
         skip = syntactic_skip(tc, scheme, ex)
         if skip is not None:
-            return [skip]
+            return [skip], False
         key = self.keys.fragment_key(prop, ex.key)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-step"
@@ -724,40 +712,12 @@ class Verifier:
                 step, scheme, ex, recorded
             ):
                 obs.incr("trace.fragment.hit")
-                return list(entry.payload)
+                return list(entry.payload), False
             obs.incr("trace.fragment.invalid")
         obs.incr("trace.fragment.searched")
         part = prove_trace_exchange(tc, prop, scheme, ex)
         self._store.put(StoreEntry(key, "trace-step", tuple(part), True))
-        return part
-
-    def adopt_trace_proof(self, prop: TraceProperty,
-                          proof: TracePropertyProof,
-                          checked: bool) -> None:
-        """Persist an externally validated derivation (the incremental
-        harness's revalidation path) under the current obligation key
-        and its fragments under their dependency-scoped keys, so later
-        runs serve it from the store.  A fragment that holds only a
-        syntactic skip is not filed: the fragment search decides skips
-        before it consults the store."""
-        if self._store is None:
-            return
-        (ob,) = self.plan(prop)
-        self._store.put(StoreEntry(ob.key, "trace", proof, checked))
-        self._store.put(StoreEntry(
-            self.keys.fragment_key(prop, None), "trace-base",
-            proof.base, True,
-        ))
-        by_exchange: Dict[Tuple[str, str], List[StepProof]] = {}
-        for sp in proof.steps:
-            by_exchange.setdefault(sp.exchange_key, []).append(sp)
-        for ex_key, parts in by_exchange.items():
-            if all(isinstance(sp, SkippedExchange) for sp in parts):
-                continue
-            self._store.put(StoreEntry(
-                self.keys.fragment_key(prop, ex_key), "trace-step",
-                tuple(parts), True,
-            ))
+        return part, True
 
     def _prove_ni(self, prop: NonInterference
                   ) -> Tuple[NIProof, bool, str]:

@@ -1,48 +1,34 @@
-"""Incremental re-verification (the future work of paper section 6.4:
-"Future work can explore incremental verification in order to further
-reduce the time required for re-verification").
+"""What an edit changed, for incremental re-verification (the future
+work of paper section 6.4: "Future work can explore incremental
+verification in order to further reduce the time required for
+re-verification").
 
-The paper's headline workflow edits a kernel and simply re-runs the
-automation.  This module makes the re-run cheap, soundly:
+Re-verification after an edit runs through the content-addressed proof
+store (:mod:`repro.prover.proofstore`): ``repro verify --store`` and
+``repro serve --store`` search a trace property fragment by fragment,
+and each fragment and NI obligation is keyed by the dependency digest
+of its *slice* (the declarations and Init block, plus one handler for an
+exchange).  Editing one handler re-keys only that handler's fragments;
+every other fragment is found in the store and revalidated through the
+independent checker before reuse (see
+:meth:`repro.prover.engine.Verifier._search_trace`).  The search is
+skipped, never the check.
 
-* **identical program** → cached results are returned outright;
-* **edited program** → derivations from the previous round are *replayed
-  through the independent checker* against the freshly built behavioral
-  abstraction.  Because the abstraction's terms are named locally per
-  exchange (see :func:`repro.symbolic.behabs.generic_step`), a derivation
-  that never touched the edited handler validates byte-for-byte and is
-  reused — no proof search.  Only derivations the checker rejects (they
-  genuinely depended on edited code) are searched for again.
+This module computes what an edit changed without verifying anything:
 
-Soundness is free: reuse happens only when the trusted checker accepts
-the old derivation against the *new* program's abstraction.  The search
-is skipped, never the check.  Non-interference results are never
-replayed (for NI, checking *is* the proof): an edited program's NI
-property is proved again.  With a proof store, each of its obligations
-whose slice is byte-identical — the base and every exchange but the
-edited handler's — is served under its slice-scoped key instead (see
-:func:`repro.prover.proofstore.dependency_digest`).
-
-Revalidation is exactly the pipeline's *check* stage
-(:meth:`repro.prover.engine.Verifier.check_trace_derivation`); when the
-options carry a ``proof_store`` the engine additionally consults the
-persistent cache, so incremental rounds reuse checked subproofs across
-processes too.
+* :func:`fragment_digests` — every slice digest of a program;
+* :func:`changed_parts` — the slices whose digest an edit changed;
+* :class:`InvalidationMap` — the store keys filed under each slice
+  digest, so the daemon can name the keys an edit superseded.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
-from .. import obs
-from ..props.spec import Property, SpecifiedProgram, TraceProperty
-from .derivation import TracePropertyProof
-from .engine import KeyTable, Part, PropertyResult, ProverOptions, Verifier
+from .engine import KeyTable, Part, Verifier
 
 
 def fragment_digests(program: object) -> Dict[Part, str]:
@@ -71,20 +57,11 @@ def changed_parts(old: Dict[Part, str],
     return changed
 
 
-def _env_cap(name: str, default: int) -> int:
-    """An integer cap from the environment, tolerant of nonsense."""
-    try:
-        return max(1, int(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
 #: Default ceiling on tracked fragment digests.  One kernel contributes
 #: one digest per fragment slice (a handful to a few dozen), so the
 #: default comfortably covers hundreds of live kernel versions while
 #: bounding a daemon that churns through thousands of unrelated ones.
-DEFAULT_MAX_TRACKED_DIGESTS = _env_cap("REPRO_INCREMENTAL_MAX_DIGESTS",
-                                       4096)
+DEFAULT_MAX_TRACKED_DIGESTS = 4096
 
 
 class InvalidationMap:
@@ -140,12 +117,6 @@ class InvalidationMap:
             while len(self._keys) > self.max_digests:
                 self._keys.popitem(last=False)
                 self.evicted += 1
-
-    def discard(self, fragment_digest: str) -> None:
-        """Drop one digest's entries outright (a caller that *knows* a
-        digest is superseded everywhere need not wait for LRU aging)."""
-        with self._lock:
-            self._keys.pop(fragment_digest, None)
 
     def record_program(self, verifier: Verifier) -> None:
         """File the slice-scoped keys ``verifier`` used with its proof
@@ -213,150 +184,3 @@ def _unpack(filed: bytes) -> List[bytes]:
     return [filed[at:at + _KEY_BYTES]
             for at in range(0, len(filed), _KEY_BYTES)]
 
-
-@dataclass
-class IncrementalResult:
-    """A property result plus how it was obtained this round."""
-
-    result: PropertyResult
-    #: "cached" (identical program), "revalidated" (old derivation checked
-    #: against the new abstraction), or "searched" (full proof search)
-    how: str
-
-    @property
-    def proved(self) -> bool:
-        return self.result.proved
-
-
-@dataclass
-class IncrementalReport:
-    """Results of one incremental round, tagged by how each was obtained."""
-
-    program_name: str
-    rounds: int
-    entries: List[IncrementalResult] = field(default_factory=list)
-    #: fragment slices whose dependency digest changed since the
-    #: previous round (``None`` on the first round: everything is new)
-    changed: Optional[List[Part]] = None
-
-    @property
-    def all_proved(self) -> bool:
-        return all(e.proved for e in self.entries)
-
-    def counts(self) -> Dict[str, int]:
-        """How many results were cached / revalidated / searched."""
-        out = {"cached": 0, "revalidated": 0, "searched": 0}
-        for e in self.entries:
-            out[e.how] += 1
-        return out
-
-    def __str__(self) -> str:
-        counts = self.counts()
-        lines = [
-            f"incremental verification of {self.program_name} "
-            f"(round {self.rounds}): {counts['cached']} cached, "
-            f"{counts['revalidated']} revalidated without search, "
-            f"{counts['searched']} searched"
-        ]
-        lines.extend(f"  [{e.how}] {e.result}" for e in self.entries)
-        return "\n".join(lines)
-
-
-def _program_fingerprint(spec: SpecifiedProgram) -> Tuple:
-    """Structural identity of the program (properties excluded: a changed
-    property is always freshly proved)."""
-    return (spec.program,)
-
-
-class IncrementalVerifier:
-    """Verifies successive versions of a program, reusing work."""
-
-    def __init__(self, options: Optional[ProverOptions] = None,
-                 invalidation: Optional[InvalidationMap] = None) -> None:
-        self.options = options or ProverOptions()
-        self._rounds = 0
-        self._fingerprint: Optional[Tuple] = None
-        #: property name → (property, result) from the previous round
-        self._previous: Dict[str, Tuple[Property, PropertyResult]] = {}
-        #: fragment slice → dependency digest from the previous round
-        self._digests: Dict[Part, str] = {}
-        #: optional shared (cross-session) invalidation index
-        self.invalidation = invalidation
-
-    def previous_digests(self) -> Dict[Part, str]:
-        """The previous round's fragment digests (empty before round 1)."""
-        return dict(self._digests)
-
-    def verify(self, spec: SpecifiedProgram) -> IncrementalReport:
-        """Verify this round's program, reusing previous derivations."""
-        self._rounds += 1
-        verifier = Verifier(spec, self.options)
-        fingerprint = _program_fingerprint(spec)
-        unchanged_program = fingerprint == self._fingerprint
-        report = IncrementalReport(spec.name, self._rounds)
-        digests = verifier.keys.slice_digests()
-        if self._rounds > 1:
-            report.changed = changed_parts(self._digests, digests)
-            obs.incr("incremental.parts.changed", len(report.changed))
-
-        for prop in spec.properties:
-            entry = self._verify_one(verifier, prop, unchanged_program)
-            report.entries.append(entry)
-
-        if self.invalidation is not None:
-            self.invalidation.record_program(verifier)
-        self._digests = digests
-        self._fingerprint = fingerprint
-        self._previous = {
-            e.result.property.name: (e.result.property, e.result)
-            for e in report.entries
-        }
-        return report
-
-    # -- per-property strategy -------------------------------------------------
-
-    def _verify_one(self, verifier: Verifier, prop: Property,
-                    unchanged_program: bool) -> IncrementalResult:
-        cached = self._previous.get(prop.name)
-        if cached is not None:
-            old_prop, old_result = cached
-            if unchanged_program and old_prop == prop:
-                return IncrementalResult(old_result, "cached")
-            if (
-                isinstance(prop, TraceProperty)
-                and old_prop == prop
-                and old_result.proved
-                and isinstance(old_result.proof, TracePropertyProof)
-            ):
-                revalidated = self._try_revalidate(verifier, prop,
-                                                   old_result)
-                if revalidated is not None:
-                    return IncrementalResult(revalidated, "revalidated")
-        return IncrementalResult(verifier.prove_property(prop), "searched")
-
-    def _try_revalidate(self, verifier: Verifier, prop: TraceProperty,
-                        old_result: PropertyResult
-                        ) -> Optional[PropertyResult]:
-        """Replay the old derivation through the pipeline's check stage
-        against the new abstraction; None when it no longer validates."""
-        start = time.perf_counter()
-        with obs.span("check", property=prop.name, reuse="incremental"):
-            complaints = verifier.check_trace_derivation(old_result.proof)
-        if complaints:
-            obs.incr("incremental.revalidation.rejected")
-            return None
-        obs.incr("incremental.revalidated")
-        # File the revalidated derivation (whole proof + per-exchange
-        # fragments) under the *new* program's keys: the next round — or a
-        # fresh process sharing the proof store — serves it without
-        # re-entering this replay path, and an edit that dodges revalidation
-        # still reuses every fragment whose dependency key is unchanged.
-        verifier.adopt_trace_proof(prop, old_result.proof, checked=True)
-        return PropertyResult(
-            property=prop,
-            status="proved",
-            seconds=time.perf_counter() - start,
-            proof=old_result.proof,
-            checked=True,
-            source="revalidated",
-        )

@@ -6,8 +6,9 @@ of a canonical rendering of (scope digest, property, derivation-relevant
 is the whole program for a whole trace derivation, and one *slice* of
 it (:func:`dependency_digest`) for a trace-proof fragment or an NI
 obligation.  The store is a directory of pickled :class:`StoreEntry`
-files, one per key, so repeated ``verify``/``bench`` runs — and the
-incremental harness — reuse checked subproofs across processes.
+files, one per key, so repeated ``verify``/``bench``/``serve`` runs —
+and re-verification after an edit — reuse checked subproofs across
+processes.
 
 Canonicalization matters: ``repr`` of a ``frozenset`` (e.g. an NI
 property's ``high_vars``) depends on ``PYTHONHASHSEED``, so

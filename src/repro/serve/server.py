@@ -978,58 +978,35 @@ class VerificationServer:
             )
         reason = ("the prover backend is unavailable (circuit breaker "
                   "open); answering degraded while it heals")
+        answer = cached if cached is not None else {
+            "program": spec.name,
+            "program_digest": None,
+            "all_proved": False,
+            "report": {"program": spec.name, "results": []},
+            "residue": degraded_residue(spec, reason),
+        }
         for waiter in waiters:
             breakdown = waiter.breakdown()
-            if cached is not None:
-                frame = {
-                    "type": "verdict",
-                    "session": waiter.session.sid,
-                    "submit_id": waiter.submit_id or None,
-                    "round": waiter.session.rounds,
-                    "program": cached["program"],
-                    "program_digest": cached["program_digest"],
-                    "all_proved": cached["all_proved"],
-                    "report": cached["report"],
-                    "residue": cached["residue"],
-                    "changed_parts": None,
-                    "fragments": {"total": 0, "changed": 0},
-                    "invalidated_keys": 0,
-                    "counters": {},
-                    "seconds": 0.0,
-                    "breakdown": breakdown,
-                    "coalesced": len(waiters),
-                    "generation": self.governor.generation,
-                    "batch": self.telemetry.counters.get("serve.batch", 0),
-                    "deadline_ms": waiter.deadline_ms,
-                    "deadline_expired": False,
-                    "degraded": True,
-                    "degraded_reason": reason,
-                }
-            else:
-                frame = {
-                    "type": "verdict",
-                    "session": waiter.session.sid,
-                    "submit_id": waiter.submit_id or None,
-                    "round": waiter.session.rounds,
-                    "program": spec.name,
-                    "program_digest": None,
-                    "all_proved": False,
-                    "report": {"program": spec.name, "results": []},
-                    "residue": degraded_residue(spec, reason),
-                    "changed_parts": None,
-                    "fragments": {"total": 0, "changed": 0},
-                    "invalidated_keys": 0,
-                    "counters": {},
-                    "seconds": 0.0,
-                    "breakdown": breakdown,
-                    "coalesced": len(waiters),
-                    "generation": self.governor.generation,
-                    "batch": self.telemetry.counters.get("serve.batch", 0),
-                    "deadline_ms": waiter.deadline_ms,
-                    "deadline_expired": False,
-                    "degraded": True,
-                    "degraded_reason": reason,
-                }
+            frame = {
+                "type": "verdict",
+                "session": waiter.session.sid,
+                "submit_id": waiter.submit_id or None,
+                "round": waiter.session.rounds,
+                **answer,
+                "changed_parts": None,
+                "fragments": {"total": 0, "changed": 0},
+                "invalidated_keys": 0,
+                "counters": {},
+                "seconds": 0.0,
+                "breakdown": breakdown,
+                "coalesced": len(waiters),
+                "generation": self.governor.generation,
+                "batch": self.telemetry.counters.get("serve.batch", 0),
+                "deadline_ms": waiter.deadline_ms,
+                "deadline_expired": False,
+                "degraded": True,
+                "degraded_reason": reason,
+            }
             waiter.answer(frame)
             self._note_recent(waiter, "degraded", breakdown)
             answered.add(id(waiter))

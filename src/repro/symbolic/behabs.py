@@ -187,7 +187,8 @@ def generic_step(info: ProgramInfo,
     Deterministic, and *locally* so: the Init summary, the pre-state
     environment, and each exchange draw from their own prefixed name
     supplies, so editing one handler leaves every other exchange's terms
-    unchanged — the property the incremental verifier relies on.
+    unchanged — so a stored fragment of an unedited exchange still
+    revalidates against the edited program's step.
 
     ``executor`` selects the symbolic evaluator for handler bodies
     (``sym_exec``-compatible); the default walks the AST, while

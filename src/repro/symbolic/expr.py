@@ -481,8 +481,9 @@ class FreshNames:
     ``prefix`` namespaces the supply: the behavioral abstraction uses one
     supply per exchange (prefixed by the exchange key) so that editing one
     handler leaves every other exchange's terms byte-identical — which is
-    what lets the incremental verifier revalidate old derivations against
-    a re-built abstraction.  Distinct prefixes guarantee distinct names.
+    what lets a proof-store fragment filed for one version of a kernel
+    revalidate against the next version's re-built abstraction.  Distinct
+    prefixes guarantee distinct names.
     """
 
     def __init__(self, prefix: str = "") -> None:

@@ -554,9 +554,6 @@ def entail_batch(prefix: Sequence[Term], queries: Sequence[Term],
     """
     obs.incr("solver.batch")
     obs.incr("solver.batch.queries", len(queries))
-    registry = obs.metrics_active()
-    if registry is not None:
-        registry.observe("solver.batch.size", len(queries))
     facts = facts_for(prefix)
     return facts.implies_all(queries, stop_on_failure=stop_on_failure)
 

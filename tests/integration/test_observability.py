@@ -2,10 +2,9 @@
 `repro report`, and the flight recorder's causal order under chaos.
 
 A traced verify run must produce a well-formed span tree and a
-Perfetto-loadable trace, the report must name the slowest obligation
-and per-worker utilization, and a violating chaos run must leave a
-JSONL log whose events read injected fault → supervisor action →
-monitor violation, in that order.
+Perfetto-loadable trace, the report must name the slowest obligation,
+and a violating chaos run must leave a JSONL log whose events read
+injected fault → supervisor action → monitor violation, in that order.
 """
 
 import json
@@ -92,8 +91,7 @@ class TestVerifyTrace:
 class TestReportCommand:
     """`repro report <run.json>` — the reporting acceptance."""
 
-    def test_report_names_slowest_obligation_and_utilization(
-            self, traced_run, capsys):
+    def test_report_names_slowest_obligation(self, traced_run, capsys):
         assert main(["report", traced_run["run_json"]]) == 0
         out = capsys.readouterr().out
         telemetry = traced_run["payload"]["telemetry"]
@@ -103,7 +101,6 @@ class TestReportCommand:
             key=lambda span: span["seconds"],
         )
         assert slowest["attrs"]["property"] in out
-        assert "worker utilization" in out
         assert "slowest obligations" in out
 
     def test_report_rejects_a_payload_without_telemetry(
@@ -119,11 +116,11 @@ class TestReportCommand:
             "telemetry": {
                 "counters": {},
                 "trace": {
-                    "run_id": "x", "worker": "main",
+                    "run_id": "x",
                     "spans": [{
-                        "name": "orphan", "span_id": "w1.1.2",
-                        "parent_id": "w1.1.404", "start": 0.0,
-                        "seconds": 0.1, "worker": "w1", "attrs": {},
+                        "name": "orphan", "span_id": "2",
+                        "parent_id": "404", "start": 0.0,
+                        "seconds": 0.1, "attrs": {},
                     }],
                 },
             },

@@ -3,8 +3,6 @@
 import json
 
 from repro.obs.export import (
-    _union_seconds,
-    _worker_rows,
     chrome_trace,
     prometheus_exposition,
     render_report,
@@ -14,24 +12,22 @@ from repro.obs.export import (
 )
 
 
-def _span(name, span_id, parent_id, start, seconds, worker="main",
-          attrs=None):
+def _span(name, span_id, parent_id, start, seconds, attrs=None):
     return {
         "name": name, "span_id": span_id, "parent_id": parent_id,
-        "start": start, "seconds": seconds, "worker": worker,
-        "attrs": attrs or {},
+        "start": start, "seconds": seconds, "attrs": attrs or {},
     }
 
 
 def _sample_trace():
-    """A two-worker trace: a main root and a worker task with a child."""
+    """A one-track trace: a verify root, a property, an obligation."""
     return {
-        "run_id": "cafe0123", "worker": "main", "epoch_wall": 0.0,
+        "run_id": "cafe0123", "epoch_wall": 0.0,
         "spans": [
-            _span("property", "main.1.1", None, 0.0, 1.0,
+            _span("verify", "1", None, 0.0, 1.0),
+            _span("property", "2", "1", 0.1, 0.6,
                   attrs={"property": "NoLock"}),
-            _span("parallel.task", "w9.1.1", None, 0.1, 0.6, worker="w9"),
-            _span("obligation", "w9.1.2", "w9.1.1", 0.2, 0.4, worker="w9",
+            _span("obligation", "3", "2", 0.2, 0.4,
                   attrs={"property": "NoLock", "kind": "ni_part"}),
         ],
     }
@@ -50,18 +46,15 @@ class TestChromeTrace:
         obligation = next(e for e in spans if e["name"] == "obligation")
         assert obligation["ts"] == 0.2 * 1e6
         assert obligation["dur"] == 0.4 * 1e6
-        assert obligation["args"]["parent_id"] == "w9.1.1"
-        names = {e["args"]["name"] for e in metadata
-                 if e["name"] == "thread_name"}
-        assert names == {"main", "w9"}
+        assert obligation["args"]["parent_id"] == "2"
+        names = [e["args"]["name"] for e in metadata
+                 if e["name"] == "thread_name"]
+        assert names == ["main"]
 
     def test_main_worker_gets_tid_zero(self):
+        """A trace has one track, ``main``: tid 0 holds every span."""
         payload = chrome_trace(_sample_trace())
-        spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        by_worker = {e["args"].get("span_id", "")[:2]: e["tid"]
-                     for e in spans}
-        assert by_worker["ma"] == 0
-        assert by_worker["w9"] == 1
+        assert {e["tid"] for e in payload["traceEvents"]} == {0}
 
     def test_write_chrome_trace_accepts_a_run_payload(self, tmp_path):
         path = str(tmp_path / "trace.json")
@@ -80,7 +73,7 @@ class TestValidateTraceTree:
     def test_unknown_parent_is_flagged(self):
         trace = _sample_trace()
         trace["spans"].append(
-            _span("orphan", "w9.1.9", "w9.1.404", 0.3, 0.1, worker="w9"))
+            _span("orphan", "9", "404", 0.3, 0.1))
         complaints = validate_trace_tree(trace)
         assert len(complaints) == 1
         assert "unknown parent" in complaints[0]
@@ -88,48 +81,16 @@ class TestValidateTraceTree:
     def test_child_outside_parent_interval_is_flagged(self):
         trace = _sample_trace()
         trace["spans"].append(
-            _span("late", "w9.1.3", "w9.1.1", 0.5, 0.9, worker="w9"))
+            _span("late", "4", "2", 0.5, 0.9))
         complaints = validate_trace_tree(trace)
         assert len(complaints) == 1
         assert "outside parent" in complaints[0]
 
 
-class TestWorkerRows:
-    """Per-worker utilization from root spans."""
-
-    def test_union_seconds_merges_overlaps(self):
-        assert _union_seconds([(0.0, 1.0), (0.5, 1.5)]) == 1.5
-        assert _union_seconds([(0.0, 1.0), (2.0, 3.0)]) == 2.0
-        assert _union_seconds([(0.0, 1.0), (0.2, 0.8)]) == 1.0
-        assert _union_seconds([]) == 0.0
-
-    def test_overlapping_roots_do_not_exceed_the_window(self):
-        """Per-worker one-off work (e.g. the step build) is its own root
-        overlapping the task root; busy time must not double-count it."""
-        trace = {
-            "worker": "main",
-            "spans": [
-                _span("parallel.task", "w9.1.1", None, 0.0, 1.0,
-                      worker="w9"),
-                _span("step.build", "w9.2.1", None, 0.1, 0.8, worker="w9"),
-            ],
-        }
-        (row,) = _worker_rows(trace)
-        assert row["busy"] == 1.0
-        assert row["utilization"] <= 1.0 + 1e-9
-
-    def test_rows_count_child_spans_but_union_only_roots(self):
-        rows = _worker_rows(_sample_trace())
-        by_worker = {row["worker"]: row for row in rows}
-        assert rows[0]["worker"] == "main"  # parent track first
-        assert by_worker["w9"]["spans"] == 2
-        assert abs(by_worker["w9"]["busy"] - 0.6) < 1e-9
-
-
 class TestRenderReport:
     """The text report."""
 
-    def test_report_names_slowest_obligation_and_utilization(self):
+    def test_report_names_slowest_obligation(self):
         payload = {
             "program": "ssh2",
             "wall_seconds": 1.25,
@@ -158,7 +119,6 @@ class TestRenderReport:
         report = render_report(payload)
         assert "NoLock" in report
         assert "ni_part" in report
-        assert "worker utilization" in report
         assert "solver.query.seconds" in report
         assert "proof.store" in report
         assert "obligation.start" in report

@@ -1,8 +1,13 @@
 """Unit tests for the metrics registry (`repro.obs.metrics`)."""
 
 import json
+import queue
 
+from repro import obs
 from repro.obs.metrics import BASE, Histogram, MetricsRegistry, bucket_index
+from repro.prover import Verifier
+from repro.serve.server import ServeOptions, VerificationServer, _Submission
+from repro.systems import car
 
 
 class TestBucketIndex:
@@ -116,3 +121,30 @@ class TestRegistry:
         registry.observe("medium", 0.1)
         names = [name for name, _ in registry.summaries()]
         assert names == ["large", "medium", "small"]
+
+
+class TestHistogramUnits:
+    """Every histogram is a time: its buckets are microseconds, and
+    ``repro report``, the ``metrics`` frame and the Prometheus
+    exposition render it as seconds.  A count belongs in a counter."""
+
+    @staticmethod
+    def non_seconds(registry: MetricsRegistry) -> list:
+        return sorted(name for name in registry.histograms
+                      if not name.endswith(".seconds"))
+
+    def test_a_fully_instrumented_verify_records_only_times(self):
+        sink = obs.Telemetry(trace=True, metrics=True, events=True)
+        with obs.use(sink):
+            assert Verifier(car.load()).verify_all().all_proved
+        assert sink.metrics.histograms
+        assert self.non_seconds(sink.metrics) == []
+
+    def test_a_daemon_verify_group_records_only_times(self, tmp_path):
+        server = VerificationServer(ServeOptions(store=str(tmp_path)))
+        sub = _Submission(session=server.sessions.create(),
+                          source=car.SOURCE, replies=queue.Queue(),
+                          stream=False)
+        server._process_batch([sub])
+        assert sub.replies.get_nowait()["all_proved"]
+        assert self.non_seconds(server.telemetry.metrics) == []

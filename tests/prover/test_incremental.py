@@ -1,105 +1,118 @@
-"""Tests for incremental re-verification (§6.4 future work, implemented).
+"""Tests for incremental re-verification (§6.4 future work, implemented
+through the proof store).
 
-Soundness requirement: reuse must never launder a stale proof — a reused
-derivation has been re-validated by the trusted checker against the *new*
-program's abstraction.
+Re-verifying an edited kernel runs through a proof store that holds the
+previous version's entries, as ``repro verify --store`` and
+``repro serve --store`` do.  Soundness requirement: reuse must never
+launder a stale proof — a reused fragment has been re-validated by the
+trusted checker against the *new* program's abstraction.
 """
 
 import hashlib
 
+from repro import obs
 from repro.frontend import parse_program
-from repro.prover import ProverOptions
-from repro.prover.incremental import IncrementalVerifier
+from repro.harness.utility import buggy_car_source
+from repro.prover import ProverOptions, Verifier
 from repro.systems import car, ssh2
 
 
-class TestCaching:
-    def test_first_round_searches_everything(self):
-        iv = IncrementalVerifier()
-        report = iv.verify(car.load())
-        assert report.all_proved
-        assert report.counts() == {"cached": 0, "revalidated": 0,
-                                   "searched": 8}
+def edited_car():
+    """The car kernel with the ``Engine => Accelerating`` handler's
+    volume string changed: a benign one-handler edit."""
+    source = car.SOURCE.replace('"crank it up"', '"a bit louder"')
+    assert source != car.SOURCE
+    return parse_program(source)
 
-    def test_identical_round_fully_cached(self):
-        iv = IncrementalVerifier()
-        iv.verify(car.load())
-        report = iv.verify(car.load())
+
+def keys_of(report):
+    return {r.property.name: r.derivation_key() for r in report.results}
+
+
+class TestCaching:
+    def test_first_round_searches_everything(self, tmp_path):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        report = Verifier(car.load(), opts).verify_all()
         assert report.all_proved
-        assert report.counts()["cached"] == 8
-        assert report.counts()["searched"] == 0
+        assert [r.source for r in report.results] == ["searched"] * 8
+
+    def test_identical_round_fully_cached(self, tmp_path):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        first = Verifier(car.load(), opts).verify_all()
+        with obs.use(obs.Telemetry()) as telemetry:
+            report = Verifier(car.load(), opts).verify_all()
+        assert report.all_proved
+        assert [r.source for r in report.results] == ["store"] * 8
+        assert keys_of(report) == keys_of(first)
+        # Whole derivations answer: no fragment is even looked up.
+        assert not any(name.startswith("trace.fragment.")
+                       for name in telemetry.counters)
 
 
 class TestBenignEdit:
-    def edited_car(self):
-        source = car.SOURCE.replace('"crank it up"', '"a bit louder"')
-        assert source != car.SOURCE
-        return parse_program(source)
+    def verify_edit(self, tmp_path):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        assert Verifier(car.load(), opts).verify_all().all_proved
+        return Verifier(edited_car(), opts).verify_all()
 
-    def test_untouched_proofs_revalidate_without_search(self):
-        iv = IncrementalVerifier()
-        iv.verify(car.load())
-        report = iv.verify(self.edited_car())
+    def test_untouched_proofs_revalidate_without_search(self, tmp_path):
+        report = self.verify_edit(tmp_path)
         assert report.all_proved
-        counts = report.counts()
-        # The edit touches only the Engine=>Accelerating handler; most
-        # derivations never looked at it.
-        assert counts["revalidated"] >= 5
-        assert counts["cached"] == 0
-        by_name = {e.result.property.name: e.how for e in report.entries}
-        assert by_name["NoLockAfterCrash"] == "revalidated"
-        # NI is re-checked, never revalidated-from-cache on edits:
-        assert by_name["NoInterfereEngine"] == "searched"
+        cold = Verifier(edited_car()).verify_all()
+        assert keys_of(report) == keys_of(cold)
+        by_name = {r.property.name: r.source for r in report.results}
+        # The edit touches only the Engine=>Accelerating handler, where
+        # syntax settles every trace property's fragment: each trace
+        # derivation is assembled from stored fragments and skips.
+        assert by_name.pop("NoInterfereEngine") == "searched"
+        assert set(by_name.values()) == {"store"}
 
-    def test_revalidated_results_are_checked(self):
-        iv = IncrementalVerifier()
-        iv.verify(car.load())
-        report = iv.verify(self.edited_car())
-        for entry in report.entries:
-            if entry.how == "revalidated":
-                assert entry.result.checked
+    def test_revalidated_results_are_checked(self, tmp_path):
+        report = self.verify_edit(tmp_path)
+        assert all(r.checked for r in report.results)
 
 
 class TestBreakingEdit:
-    def test_broken_property_fails_after_edit(self):
-        from repro.harness.utility import buggy_car_source
-
-        iv = IncrementalVerifier()
-        first = iv.verify(car.load())
-        assert first.all_proved
+    def test_broken_property_fails_after_edit(self, tmp_path):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        assert Verifier(car.load(), opts).verify_all().all_proved
         source, expected_failures = buggy_car_source()
-        report = iv.verify(parse_program(source))
+        report = Verifier(parse_program(source), opts).verify_all()
         assert not report.all_proved
-        by_name = {e.result.property.name: e for e in report.entries}
-        for name in expected_failures:
-            assert not by_name[name].proved
-            assert by_name[name].how == "searched"
+        failed = {r.property.name for r in report.results if not r.proved}
+        assert failed == set(expected_failures)
 
-    def test_fix_after_break_recovers(self):
-        from repro.harness.utility import buggy_car_source
-
-        iv = IncrementalVerifier()
-        iv.verify(car.load())
-        iv.verify(parse_program(buggy_car_source()[0]))
-        report = iv.verify(car.load())  # the fix restores the original
+    def test_fix_after_break_recovers(self, tmp_path):
+        opts = ProverOptions(proof_store=str(tmp_path))
+        first = Verifier(car.load(), opts).verify_all()
+        Verifier(parse_program(buggy_car_source()[0]), opts).verify_all()
+        report = Verifier(car.load(), opts).verify_all()  # the fix
         assert report.all_proved
+        assert keys_of(report) == keys_of(first)
 
-    def test_property_statement_change_triggers_search(self):
+    def test_property_statement_change_triggers_search(self, tmp_path):
+        """A changed property statement under an unchanged program is
+        searched (and here fails), never answered from the fragments the
+        store holds for the old statement."""
         from repro.props.spec import specify
 
-        iv = IncrementalVerifier()
+        opts = ProverOptions(proof_store=str(tmp_path))
         spec = car.load()
-        iv.verify(spec)
-        # same program, one property renamed: that one is fresh work
-        renamed = [
+        assert Verifier(spec, opts).verify_all().all_proved
+        flipped = [
             p if p.name != "NoLockAfterCrash" else
-            type(p)(p.name, p.primitive, p.b, p.a)  # also flipped: false!
+            type(p)(p.name, p.primitive, p.b, p.a)  # flipped: false!
             for p in spec.properties
         ]
-        report = iv.verify(specify(spec.info, *renamed))
-        by_name = {e.result.property.name: e for e in report.entries}
-        assert by_name["NoLockAfterCrash"].how == "searched"
+        with obs.use(obs.Telemetry()) as telemetry:
+            report = Verifier(specify(spec.info, *flipped),
+                              opts).verify_all()
+        by_name = {r.property.name: r for r in report.results}
         assert not by_name["NoLockAfterCrash"].proved
+        assert telemetry.counters["trace.fragment.searched"] >= 1
+        assert all(r.proved and r.source == "store"
+                   for name, r in by_name.items()
+                   if name != "NoLockAfterCrash")
 
 
 class TestFragmentInvalidation:
@@ -121,25 +134,24 @@ class TestFragmentInvalidation:
         assert source != ssh2.SOURCE
         return parse_program(source)
 
-    def fragment_counters(self, tmp_path, edited):
+    def verify_edit(self, tmp_path, edited):
         """Fill a store with ssh2, verify ``edited`` through it, and
-        return the counters of the second run plus its fragment count."""
-        from repro import obs
-        from repro.prover.engine import Verifier
-
+        return the second run's report, its telemetry and its fragment
+        count."""
         opts = ProverOptions(proof_store=str(tmp_path))
         assert Verifier(ssh2.load(), opts).verify_all().all_proved
 
-        verifier = Verifier(edited, opts)
-        with obs.use(obs.Telemetry()) as telemetry:
-            assert verifier.verify_all().all_proved
-        fragments = sum(len(verifier.fragment_keys(prop))
-                        for prop in edited.trace_properties())
-        return telemetry.counters, fragments
+        with obs.use(obs.Telemetry(events=True)) as telemetry:
+            report = Verifier(edited, opts).verify_all()
+        assert report.all_proved
+        fragments = (1 + len(list(edited.program.exchange_keys()))) \
+            * len(edited.trace_properties())
+        return report, telemetry, fragments
 
     def test_handler_edit_reproves_only_dependent_fragments(self, tmp_path):
-        counters, fragments = self.fragment_counters(
+        _, telemetry, fragments = self.verify_edit(
             tmp_path, self.edited_ssh2())
+        counters = telemetry.counters
         # The edited Connection=>ReqAuth handler emits nothing either
         # property's trigger can match, so syntax settles both of its
         # fragments; every other fragment keeps its dependency key and is
@@ -151,9 +163,10 @@ class TestFragmentInvalidation:
 
     def test_trigger_matching_edit_researches_exactly_its_fragments(
             self, tmp_path):
-        counters, fragments = self.fragment_counters(
+        _, telemetry, fragments = self.verify_edit(
             tmp_path,
             self.edited_ssh2(self.TRIGGER_EDIT, self.TRIGGER_EDITED))
+        counters = telemetry.counters
         # One fragment covers the edited handler and is not a syntactic
         # skip: AttemptsApprovedByCounter's Counter=>CountOk case.
         assert counters.get("trace.fragment.searched") == 1
@@ -161,27 +174,35 @@ class TestFragmentInvalidation:
         assert counters["trace.fragment.hit"] \
             + counters["tactic.exchange.skipped"] == fragments - 1
 
-    def test_unedited_program_serves_whole_proofs_from_store(self, tmp_path):
-        from repro.prover.engine import Verifier
+    def test_assembled_results_say_where_they_came_from(self, tmp_path):
+        """A derivation assembled from stored fragments and syntactic
+        skips reports ``store`` — in its result and in its
+        ``obligation.finish`` event — and one with a searched fragment
+        reports ``searched``."""
+        cases = (
+            (self.edited_ssh2(),
+             {"AuthBeforeTerm": "store",
+              "AttemptsApprovedByCounter": "store"}),
+            (self.edited_ssh2(self.TRIGGER_EDIT, self.TRIGGER_EDITED),
+             {"AuthBeforeTerm": "store",
+              "AttemptsApprovedByCounter": "searched"}),
+        )
+        for n, (edited, expected) in enumerate(cases):
+            report, telemetry, _ = self.verify_edit(tmp_path / str(n),
+                                                    edited)
+            assert {r.property.name: r.source
+                    for r in report.results} == expected
+            finishes = [e.to_dict() for e in telemetry.events.events
+                        if e.kind == "obligation.finish"]
+            assert {f["property"]: f["store_hit"] for f in finishes} == {
+                name: source == "store" for name, source in expected.items()
+            }
 
+    def test_unedited_program_serves_whole_proofs_from_store(self, tmp_path):
         opts = ProverOptions(proof_store=str(tmp_path))
         Verifier(ssh2.load(), opts).verify_all()
         again = Verifier(ssh2.load(), opts).verify_all()
         assert all(r.source == "store" for r in again.results)
-
-    def test_revalidation_adopts_proofs_into_store(self, tmp_path):
-        """A revalidated derivation is re-filed under the *new* program's
-        keys, so a later cold run never repeats the replay."""
-        from repro.prover.engine import Verifier
-
-        opts = ProverOptions(proof_store=str(tmp_path))
-        iv = IncrementalVerifier(opts)
-        iv.verify(ssh2.load())
-        report = iv.verify(self.edited_ssh2())
-        assert report.counts()["revalidated"] == 2
-
-        cold = Verifier(self.edited_ssh2(), opts).verify_all()
-        assert all(r.source == "store" for r in cold.results)
 
 
 class TestNIObligationInvalidation:
@@ -217,9 +238,7 @@ class TestNIObligationInvalidation:
         exchanges = list(car.load().program.exchange_keys())
         assert self.searched_ni_parts(monkeypatch, car.load(), opts) \
             == [None] + exchanges
-        edited = parse_program(
-            car.SOURCE.replace('"crank it up"', '"a bit louder"'))
-        assert self.searched_ni_parts(monkeypatch, edited, opts) \
+        assert self.searched_ni_parts(monkeypatch, edited_car(), opts) \
             == [("Engine", "Accelerating")]
 
     def test_init_edit_researches_every_ni_obligation(self, tmp_path,
@@ -268,7 +287,7 @@ class TestInvalidationMapBound:
             imap.record("live", _key("key-live"))  # a kernel still in use
         assert imap.keys_for("live") == {_key("key-live")}
 
-    def test_discard_drops_a_superseded_digest(self):
+    def test_a_key_filed_twice_is_kept_once(self):
         from repro.prover.incremental import InvalidationMap
 
         imap = InvalidationMap()
@@ -277,14 +296,3 @@ class TestInvalidationMapBound:
         imap.record("old", _key("key-a"))  # filed once
         assert len(imap) == 2
         assert imap.keys_for("old") == {_key("key-a"), _key("key-b")}
-        imap.discard("old")
-        assert imap.keys_for("old") == frozenset()
-        assert len(imap) == 0
-
-
-class TestRendering:
-    def test_report_str(self):
-        iv = IncrementalVerifier(ProverOptions())
-        report = iv.verify(car.load())
-        text = str(report)
-        assert "searched" in text and "round 1" in text

@@ -64,14 +64,14 @@ class TestKeysMatchTheReference:
         options = ProverOptions()
         verifier = Verifier(spec, options)
         for prop in spec.trace_properties():
-            keys = verifier.fragment_keys(prop)
-            for part, key in keys.items():
+            for part in [None, *spec.program.exchange_keys()]:
                 tag = ("trace-frag",) if part is None \
                     else ("trace-frag", *part)
-                assert key == obligation_key(
-                    dependency_digest(spec.program, part), prop, options,
-                    tag,
-                )
+                assert verifier.keys.fragment_key(prop, part) \
+                    == obligation_key(
+                        dependency_digest(spec.program, part), prop,
+                        options, tag,
+                    )
 
     def test_plan_keys(self, spec):
         """A trace obligation is keyed by the program digest; an NI

@@ -182,8 +182,9 @@ class TestGoldenKeys:
 
     def test_trace_fragment_key(self):
         spec = self._spec()
-        keys = Verifier(spec).fragment_keys(spec.property_named("RingOnTrip"))
-        assert keys[("Sensor", "Trip")] == self.TRIP_FRAGMENT
+        keys = Verifier(spec).keys
+        assert keys.fragment_key(spec.property_named("RingOnTrip"),
+                                 ("Sensor", "Trip")) == self.TRIP_FRAGMENT
 
     def test_ni_exchange_obligation_key(self):
         spec = self._spec()

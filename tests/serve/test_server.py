@@ -173,9 +173,9 @@ class TestSessionDiffs:
                    for prop in spec.properties
                    if isinstance(prop, NonInterference)}
         store = ProofStore(server.options.store)
-        fragment_keys = {keys.fragment_key(prop, part)
-                         for prop in spec.trace_properties()}
-        skip_only = {key for key in fragment_keys if store.get(key) is None}
+        fragments = {keys.fragment_key(prop, part)
+                     for prop in spec.trace_properties()}
+        skip_only = {key for key in fragments if store.get(key) is None}
         assert ni_keys and ni_keys <= filed
         assert skip_only and not skip_only & filed
         assert all(store.get(key) is not None for key in filed)
