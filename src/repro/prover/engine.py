@@ -14,8 +14,11 @@ Verification runs as a staged pipeline (see :mod:`repro.prover.pipeline`):
 * **search** — discharge each obligation (consulting the persistent
   :mod:`proof store <repro.prover.proofstore>` first when one is
   configured), emitting a derivation;
-* **check** — validate the assembled derivation through the independent
-  :mod:`checker <repro.prover.checker>`.
+* **check** — validate the derivation through the independent
+  :mod:`checker <repro.prover.checker>`.  With a store, a trace
+  derivation is searched and stored fragment by fragment, and each
+  fragment is checked once, as it is read or searched; its trace
+  obligation's key names it, but only the fragments are filed.
 
 ``verify_all()`` runs the properties one after another in the calling
 thread, with ``ProverOptions.deadline`` checked before every property
@@ -56,11 +59,9 @@ from ..symbolic.behabs import GenericStep, generic_step
 from .checker import (
     check_ni_proof,
     check_trace_proof,
-    ni_proof_complaints,
     record_step_proofs,
     trace_base_complaints,
     trace_exchange_complaints,
-    trace_proof_complaints,
 )
 from .derivation import (
     BaseProof,
@@ -88,7 +89,6 @@ from .proofstore import (
     ProofStore,
     Rendered,
     StoreEntry,
-    dependency_digest,
     derivation_key,
     digest,
     fingerprint,
@@ -103,6 +103,11 @@ from .trace_tactics import (
     prove_trace_property,
     syntactic_skip,
 )
+
+# Unused here: perfbench/layers.py (TARGETS) wraps both by their names
+# in this module.
+from .checker import trace_proof_complaints  # noqa: F401
+from .proofstore import dependency_digest  # noqa: F401
 
 
 @dataclass
@@ -359,8 +364,9 @@ class KeyTable:
 
     def obligation_key(self, prop: Property, part: Part) -> str:
         """The content address of one pipeline obligation of ``prop``:
-        a whole trace derivation keyed by the program digest, an NI
-        obligation keyed by its slice (see
+        a trace property keyed by the program digest (it names the
+        obligation; only its fragments are filed), an NI obligation
+        keyed by its slice (see
         :func:`~repro.prover.proofstore.obligation_key`)."""
         if isinstance(prop, NonInterference):
             return self._scoped_key(prop, part, NI_OBLIGATION)
@@ -387,14 +393,9 @@ class KeyTable:
         memo = (id(prop), part, marker)
         key = self._keys.get(memo)
         if key is None:
-            scope = self.slice_digests().get(part)
-            if scope is None:
-                # Not an exchange of this kernel: the reference
-                # definition still keys it.
-                scope = dependency_digest(self.program, part)
             key = self._keys[memo] = obligation_key(
-                scope, self._rendered(prop), self.options,
-                scoped_part(marker, part),
+                self.slice_digests()[part], self._rendered(prop),
+                self.options, scoped_part(marker, part),
             )
         return key
 
@@ -547,8 +548,7 @@ class Verifier:
         key = self.keys.obligation_key(prop, part)
         if self._store is not None:
             entry = self._store.get(key)
-            if (entry is not None and entry.kind == kind
-                    and entry.checked):
+            if entry is not None and entry.kind == kind:
                 return entry.payload, True
         labeling = self.ni_labeling(prop)
         step = self.generic_step()
@@ -560,23 +560,10 @@ class Verifier:
                     step, labeling, step.exchange(*part)
                 ))
         if self._store is not None:
-            # NI search *is* the check (see repro.prover.ni), so the
-            # entry records checker approval in-band.
-            self._store.put(StoreEntry(key, kind, payload, checked=True))
+            # NI search *is* the check (see repro.prover.ni); the key
+            # carries the soundness argument for its reuse.
+            self._store.put(StoreEntry(key, kind, payload))
         return payload, False
-
-    # -- pipeline: check -------------------------------------------------------
-
-    def check_trace_derivation(self,
-                               proof: TracePropertyProof) -> List[str]:
-        """Pipeline check stage for a trace derivation: replay it through
-        the independent checker against the current abstraction."""
-        return trace_proof_complaints(self.generic_step(), proof)
-
-    def check_ni_derivation(self, proof: NIProof) -> List[str]:
-        """Pipeline check stage for an NI record: re-derive the base
-        condition and validate verdict coverage."""
-        return ni_proof_complaints(self.generic_step(), proof)
 
     # -- per-property verification ----------------------------------------------
 
@@ -608,59 +595,42 @@ class Verifier:
                            ) -> Tuple[TracePropertyProof, bool, str]:
         """The uninstrumented body of :meth:`_prove_trace`."""
         with obs.span("plan", property=prop.name):
-            (ob,) = self.plan(prop)
+            self.plan(prop)
         if self._store is not None:
-            entry = self._store.get(ob.key)
-            if (entry is not None and entry.kind == "trace"
-                    and isinstance(entry.payload, TracePropertyProof)
-                    and entry.payload.property == prop):
-                proof = entry.payload
-                if self.options.check_proofs:
-                    with obs.span("check", property=prop.name):
-                        complaints = self.check_trace_derivation(proof)
-                    if not complaints:
-                        return proof, True, "store"
-                    obs.incr("store.invalid")
-                elif entry.checked:
-                    # Checker approval recorded in-band at store time.
-                    return proof, False, "store"
-        proof, searched = self._search_trace(prop)
+            # Every fragment was checked as it was read or searched, and
+            # the derivation is exactly their union.
+            proof, searched = self._search_fragments(prop)
+            return (proof, self.options.check_proofs,
+                    "searched" if searched else "store")
+        with obs.span("search", property=prop.name):
+            proof = prove_trace_property(self._tactic_context(), prop)
         checked = False
         if self.options.check_proofs:
             with obs.span("check", property=prop.name):
                 check_trace_proof(self.generic_step(), proof)
             checked = True
-        if self._store is not None:
-            # The fragment-grained search already filed the per-fragment
-            # entries; the whole derivation is filed under the
-            # obligation key.
-            self._store.put(StoreEntry(ob.key, "trace", proof, checked))
-        return proof, checked, "searched" if searched else "store"
+        return proof, checked, "searched"
 
     # -- fragment-grained trace search -----------------------------------------
 
-    def _search_trace(self, prop: TraceProperty
-                      ) -> Tuple[TracePropertyProof, bool]:
-        """The search stage for a trace property: the derivation, and
-        whether any part of it was searched.
+    def _search_fragments(self, prop: TraceProperty
+                          ) -> Tuple[TracePropertyProof, bool]:
+        """Search and check a trace property *fragment by fragment*
+        through the proof store (base case + one fragment per exchange):
+        the derivation, and whether any fragment of it was searched.
 
-        Without a proof store this is one monolithic
-        :func:`prove_trace_property` call.  With a store, the derivation
-        is searched *fragment by fragment* (base case + one fragment per
-        exchange).  An exchange the §6.4 syntactic skip settles is
-        decided first, from syntax alone, and never touches the store.
-        Every other fragment is first looked up under its
-        dependency-scoped key and revalidated through the independent
-        checker before reuse — so an incremental edit to one handler
-        re-proves only the fragments whose dependency slice changed (or
-        whose revalidation fails, e.g. a stale secondary-induction
-        invariant).  The run's deadline is checked before each fragment,
-        so a store-backed search stops between fragments; the monolithic
-        search is one call and is not interrupted."""
-        if self._store is None:
-            with obs.span("search", property=prop.name):
-                return prove_trace_property(self._tactic_context(),
-                                            prop), True
+        An exchange the §6.4 syntactic skip settles is decided first,
+        from syntax alone, and never touches the store.  Every other
+        fragment is looked up under its dependency-scoped key and
+        revalidated through the independent checker before reuse — so an
+        incremental edit to one handler re-proves only the fragments
+        whose dependency slice changed (or whose revalidation fails, e.g.
+        a stale secondary-induction invariant).  With ``check_proofs`` a
+        skip and a searched fragment are checked too, and a searched
+        fragment is filed only once the checker accepts it; a rejection
+        fails the property with :class:`ProofCheckFailure`.  The run's
+        deadline is checked before each fragment, so the search stops
+        between fragments."""
         scheme = scheme_of(prop)
         step = self.generic_step()
         tc = self._tactic_context()
@@ -690,33 +660,35 @@ class Verifier:
             obs.incr("trace.fragment.invalid")
         obs.incr("trace.fragment.searched")
         base = prove_trace_base(tc, prop, scheme)
-        self._store.put(StoreEntry(key, "trace-base", base, True))
+        if self.options.check_proofs:
+            _reject(prop, trace_base_complaints(step, scheme, base))
+        self._store.put(StoreEntry(key, "trace-base", base))
         return base, True
 
     def _fragment_exchange(self, tc, prop: TraceProperty, scheme,
                            step: GenericStep, ex
                            ) -> Tuple[List[StepProof], bool]:
         # A syntactic skip is decided from syntax alone, so it never
-        # costs a store read, a write or a revalidation; the check stage
-        # still validates it in the assembled derivation.
+        # costs a store read or a write.
         skip = syntactic_skip(tc, scheme, ex)
         if skip is not None:
+            if self.options.check_proofs:
+                _reject(prop, trace_exchange_complaints(
+                    step, scheme, ex, {(ex.key, None): skip}))
             return [skip], False
         key = self.keys.fragment_key(prop, ex.key)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-step"
                 and isinstance(entry.payload, tuple)):
-            complaints: List[str] = []
-            recorded = record_step_proofs(entry.payload, complaints)
-            if not complaints and not trace_exchange_complaints(
-                step, scheme, ex, recorded
-            ):
+            if not _exchange_complaints(step, scheme, ex, entry.payload):
                 obs.incr("trace.fragment.hit")
                 return list(entry.payload), False
             obs.incr("trace.fragment.invalid")
         obs.incr("trace.fragment.searched")
         part = prove_trace_exchange(tc, prop, scheme, ex)
-        self._store.put(StoreEntry(key, "trace-step", tuple(part), True))
+        if self.options.check_proofs:
+            _reject(prop, _exchange_complaints(step, scheme, ex, part))
+        self._store.put(StoreEntry(key, "trace-step", tuple(part)))
         return part, True
 
     def _prove_ni(self, prop: NonInterference
@@ -841,6 +813,32 @@ class Verifier:
                 report.results.append(self.prove_property(prop))
         report.wall_seconds = time.perf_counter() - start
         return report
+
+
+def _exchange_complaints(step: GenericStep, scheme, ex,
+                         steps) -> List[str]:
+    """The checker's complaints about one exchange's fragment, after a
+    complaint for each step proof it holds for another exchange: a
+    fragment answers for its own exchange only, so a derivation
+    assembled from checked fragments is exactly their union."""
+    complaints = [
+        f"{ex.ctype}=>{ex.msg} fragment holds a step proof for "
+        f"exchange {sp.exchange_key!r}"
+        for sp in steps
+        if getattr(sp, "exchange_key", ex.key) != ex.key
+    ]
+    recorded = record_step_proofs(steps, complaints)
+    if complaints:
+        return complaints
+    return trace_exchange_complaints(step, scheme, ex, recorded)
+
+
+def _reject(prop: TraceProperty, complaints: List[str]) -> None:
+    """Fail ``prop`` as :func:`check_trace_proof` would when a fragment
+    of its derivation draws ``complaints``."""
+    if complaints:
+        raise ProofCheckFailure(f"derivation for {prop.name} rejected: "
+                                + "; ".join(complaints))
 
 
 def verify(spec: SpecifiedProgram,

@@ -11,7 +11,7 @@ of its *slice* (the declarations and Init block, plus one handler for an
 exchange).  Editing one handler re-keys only that handler's fragments;
 every other fragment is found in the store and revalidated through the
 independent checker before reuse (see
-:meth:`repro.prover.engine.Verifier._search_trace`).  The search is
+:meth:`repro.prover.engine.Verifier._search_fragments`).  The search is
 skipped, never the check.
 
 This module computes what an edit changed without verifying anything:

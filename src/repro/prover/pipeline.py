@@ -12,15 +12,19 @@ separately cacheable:
   (a :class:`~repro.prover.derivation.TracePropertyProof`, the NI base
   notes, or one exchange's :class:`~repro.prover.ni.PathVerdict` group).
 * **check** — validate the assembled derivation through
-  :mod:`repro.prover.checker`, independently of how it was found.
+  :mod:`repro.prover.checker`, independently of how it was found (with
+  a proof store, a trace derivation is checked fragment by fragment as
+  it is searched instead).
 
 Every obligation carries a stable content-addressed ``key`` (scope digest
 + property + derivation-relevant options + part, see
-:mod:`repro.prover.proofstore`), which is the identity under which the
-persistent proof store files its result.  A trace obligation's scope is
-the whole program; an NI obligation's is its slice — the declarations,
-the Init block and, for an exchange, that one handler — so an edit to
-one handler re-keys only that handler's NI obligation.
+:mod:`repro.prover.proofstore`).  An NI obligation's key is the identity
+under which the persistent proof store files its result, and its scope
+is its slice — the declarations, the Init block and, for an exchange,
+that one handler — so an edit to one handler re-keys only that
+handler's NI obligation.  A trace obligation's key, scoped by the whole
+program, names it, but only its fragments are filed, each under a key
+of its own slice.
 """
 
 from __future__ import annotations

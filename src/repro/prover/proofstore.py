@@ -3,12 +3,13 @@
 Every proof obligation of the pipeline carries a stable key: the SHA-256
 of a canonical rendering of (scope digest, property, derivation-relevant
 :class:`~repro.prover.engine.ProverOptions`, obligation part).  The scope
-is the whole program for a whole trace derivation, and one *slice* of
-it (:func:`dependency_digest`) for a trace-proof fragment or an NI
-obligation.  The store is a directory of pickled :class:`StoreEntry`
-files, one per key, so repeated ``verify``/``bench``/``serve`` runs —
-and re-verification after an edit — reuse checked subproofs across
-processes.
+is the whole program for a trace property, and one *slice* of it
+(:func:`dependency_digest`) for a trace-proof fragment or an NI
+obligation.  A trace property's key names its obligation, but only its
+fragments are filed.  The store is a directory of pickled
+:class:`StoreEntry` files, one per key, so repeated
+``verify``/``bench``/``serve`` runs — and re-verification after an
+edit — reuse checked subproofs across processes.
 
 Canonicalization matters: ``repr`` of a ``frozenset`` (e.g. an NI
 property's ``high_vars``) depends on ``PYTHONHASHSEED``, so
@@ -16,14 +17,13 @@ property's ``high_vars``) depends on ``PYTHONHASHSEED``, so
 processes therefore always agree on the key of the same obligation.
 
 Trust story (see DESIGN.md): the store is *outside* the trusted base.
-Trace derivations loaded from the store are replayed through the
+Trace fragments loaded from the store are replayed through the
 independent checker against the current abstraction before they are
-accepted.  NI records (whose search *is* the check) carry the checker
-approval in-band (``StoreEntry.checked``) and are re-validated only for
-coverage by :func:`repro.prover.checker.ni_proof_complaints`, so their
-reuse rests on the key: an NI entry is served only for a byte-identical
-slice (see :func:`dependency_digest`).  A corrupt or truncated entry is
-treated as a miss and re-proved, never trusted.
+accepted.  NI records (whose search *is* the check) are re-validated
+only for coverage by :func:`repro.prover.checker.ni_proof_complaints`,
+so their reuse rests on the key: an NI entry is served only for a
+byte-identical slice (see :func:`dependency_digest`).  A corrupt or
+truncated entry is treated as a miss and re-proved, never trusted.
 """
 
 from __future__ import annotations
@@ -191,10 +191,10 @@ def obligation_key(scope_digest: str, prop: object, options: object,
                    part: object = None) -> str:
     """The content address of one proof obligation.
 
-    ``scope_digest`` is :func:`digest` of the program AST for a whole
-    trace derivation, and the :func:`dependency_digest` of one slice for
-    a slice-scoped key (a trace-proof fragment or an NI obligation,
-    whose ``part`` is a :func:`scoped_part`).  Only the
+    ``scope_digest`` is :func:`digest` of the program AST for a trace
+    property's obligation, and the :func:`dependency_digest` of one
+    slice for a slice-scoped key (a trace-proof fragment or an NI
+    obligation, whose ``part`` is a :func:`scoped_part`).  Only the
     derivation-relevant options (``syntactic_skip``, which changes the
     shape of the emitted proof) participate.
     """
@@ -280,17 +280,17 @@ def derivation_key(proof: object) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class StoreEntry:
-    """One stored derivation: the keyed payload plus in-band approval.
+    """One stored fragment — a trace-proof fragment or an NI
+    obligation's result: the keyed payload and its kind.
 
-    ``checked`` records whether the independent checker approved the
-    payload when it was produced; loaders that skip re-validation (e.g.
-    ``check_proofs=False``) only accept approved entries.
+    An entry pickled with the former fourth field, ``checked``, still
+    loads (unpickling restores the instance dictionary as it was) and
+    is read like any other.
     """
 
     key: str
-    kind: str  # "trace" | "ni-base" | "ni-exchange" | "trace-base" | "trace-step"
+    kind: str  # "trace-base" | "trace-step" | "ni-base" | "ni-exchange"
     payload: object
-    checked: bool
 
 
 class ProofStore:
@@ -306,11 +306,6 @@ class ProofStore:
     def __init__(self, root: object) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: keys this process has already persisted *checked* — repeat
-        #: puts (a fragment filed again with its whole derivation, a
-        #: daemon re-verifying a source) are idempotent no-ops instead
-        #: of redundant temp-file churn
-        self._seen: set = set()
 
     def path_for(self, key: str) -> Path:
         """The file backing ``key``."""
@@ -357,7 +352,7 @@ class ProofStore:
             pass
 
     def put(self, entry: StoreEntry) -> None:
-        """Atomically persist ``entry``, idempotently under concurrency.
+        """Atomically persist ``entry``.
 
         Best effort: a full disk, permission error or unpicklable
         payload never fails the proof that produced it — the failed
@@ -365,19 +360,10 @@ class ProofStore:
         without the cache entry.  The temp file and its descriptor are
         reclaimed on every failure path.
 
-        Multi-writer discipline: a key this process already persisted
-        checked is skipped outright, and an *unchecked* entry never
-        lands on a key that already has a file — replacing a checked
-        entry with an unchecked one would downgrade what
-        ``check_proofs=False`` loaders may trust.  Both skips count as
-        ``store.put_skipped``.
+        Concurrent writers of one key each replace the file whole, so a
+        reader sees one complete entry or the other; the last write
+        wins, and a trace fragment is revalidated whenever it is read.
         """
-        if entry.key in self._seen:
-            obs.incr("store.put_skipped")
-            return
-        if not entry.checked and self.path_for(entry.key).exists():
-            obs.incr("store.put_skipped")
-            return
         try:
             if os.environ.get("REPRO_CHAOS_STORE_FULL"):
                 # Chaos instrumentation (harness/chaos_serve.py): behave
@@ -405,8 +391,6 @@ class ProofStore:
             self._discard(tmp)
             return
         obs.incr("store.put")
-        if entry.checked:
-            self._seen.add(entry.key)
 
     @staticmethod
     def _discard(tmp: str) -> None:
@@ -449,7 +433,6 @@ class ProofStore:
                     path.unlink()
                 except OSError:
                     pass
-        self._seen.clear()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.proof"))

@@ -845,16 +845,19 @@ class VerificationServer:
             for result in report.results
         )
         residue = residue_for(report)
+        # Serialized once: every verdict frame and the verdict cache
+        # share it, and nothing mutates it.
+        report_dict = report.to_dict()
         self.breaker.record_success()
         if deadline_expired:
             self._count("serve.deadline.expired")
         else:
-            self._cache_verdict(source, spec, report, residue,
+            self._cache_verdict(source, spec, report_dict, residue,
                                 program_digest)
         fanout_start = time.monotonic()
         for waiter in waiters:
             waiter.answer(self._verdict_frame(
-                waiter, spec, report, residue, digests,
+                waiter, spec, report_dict, residue, digests,
                 program_digest, counters, wall, len(waiters),
                 deadline_expired=deadline_expired,
                 group_start=group_start,
@@ -878,7 +881,8 @@ class VerificationServer:
             "serve.e2e.seconds", breakdown.get("total_ms", 0.0) / 1000.0,
         )
 
-    def _verdict_frame(self, waiter: _Submission, spec, report,
+    def _verdict_frame(self, waiter: _Submission, spec,
+                       report_dict: dict,
                        residue: List[dict], digests: Dict[Part, str],
                        program_digest: str, counters: Dict[str, int],
                        wall: float, coalesced: int,
@@ -887,11 +891,14 @@ class VerificationServer:
                        fanout_start: Optional[float] = None) -> dict:
         """The terminal verdict for one submission, with its
         session-scoped incremental diff (which slices changed, what got
-        superseded) and its per-phase latency breakdown."""
+        superseded) and its per-phase latency breakdown.
+        ``report_dict`` is the report's ``to_dict()``, shared by the
+        group."""
         session = waiter.session
         breakdown = waiter.breakdown(group_start=group_start,
                                      fanout_start=fanout_start)
-        outcome = "proved" if report.all_proved else "unproved"
+        all_proved = report_dict["all_proved"]
+        outcome = "proved" if all_proved else "unproved"
         if deadline_expired:
             outcome = "deadline"
         self._note_recent(waiter, outcome, breakdown)
@@ -903,8 +910,7 @@ class VerificationServer:
             changed_json = [_jsonable_part(part) for part in changed]
         else:
             changed, invalidated, changed_json = None, 0, None
-        session.note_round(digests, program_digest, spec.name,
-                           report.all_proved)
+        session.note_round(digests, program_digest, spec.name, all_proved)
         return {
             "type": "verdict",
             "session": session.sid,
@@ -912,8 +918,8 @@ class VerificationServer:
             "round": session.rounds,
             "program": spec.name,
             "program_digest": program_digest,
-            "all_proved": report.all_proved,
-            "report": report.to_dict(),
+            "all_proved": all_proved,
+            "report": report_dict,
             "residue": residue,
             "changed_parts": changed_json,
             "fragments": {
@@ -942,15 +948,15 @@ class VerificationServer:
         self._count("serve.breaker.failure", reason=reason,
                     state=self.breaker.state)
 
-    def _cache_verdict(self, source: str, spec, report,
+    def _cache_verdict(self, source: str, spec, report_dict: dict,
                        residue: List[dict],
                        program_digest: str) -> None:
         """Remember a full verdict for degraded (breaker-open) serving."""
         self._verdict_cache[source] = {
             "program": spec.name,
             "program_digest": program_digest,
-            "all_proved": report.all_proved,
-            "report": report.to_dict(),
+            "all_proved": report_dict["all_proved"],
+            "report": report_dict,
             "residue": residue,
         }
         self._verdict_cache.move_to_end(source)

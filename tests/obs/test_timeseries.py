@@ -224,7 +224,10 @@ class TestThreadedStress:
 
     Writers hammer one registry with observe/gauge/incr while a sampler
     thread snapshots it concurrently; afterwards every count must be
-    conserved and no window may carry a negative rate.
+    conserved and no window may carry a negative rate.  The writers
+    observe into one histogram concurrently (it locks itself) and share
+    a lock for their shared counter and gauge, as the registry's
+    threading contract asks of threads that write one name.
     """
 
     WRITERS = 4
@@ -245,16 +248,23 @@ class TestThreadedStress:
 
         sampler = Sampler(snap, series=series, clock=clock)
         stop = threading.Event()
+        names_lock = threading.Lock()
 
         def keep_sampling():
-            while not stop.is_set():
+            # At most capacity - 1 samples here and one final sample
+            # below: an evicted window would take its increments with
+            # it, and writers slowed by other threads let this loop
+            # sample past the ring.
+            while not stop.is_set() and \
+                    series.stats()["samples"] < series.capacity - 1:
                 sampler.sample_once()
 
         def write(worker):
             for i in range(self.OBSERVATIONS):
-                registry.incr("stress.count")
+                with names_lock:
+                    registry.incr("stress.count")
+                    registry.gauge("stress.gauge", float(worker))
                 registry.observe("stress.seconds", (i % 10 + 1) * 1e-5)
-                registry.gauge("stress.gauge", float(worker))
 
         sampler_thread = threading.Thread(target=keep_sampling)
         writers = [threading.Thread(target=write, args=(w,))

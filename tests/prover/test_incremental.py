@@ -44,9 +44,17 @@ class TestCaching:
         assert report.all_proved
         assert [r.source for r in report.results] == ["store"] * 8
         assert keys_of(report) == keys_of(first)
-        # Whole derivations answer: no fragment is even looked up.
-        assert not any(name.startswith("trace.fragment.")
-                       for name in telemetry.counters)
+        # Every fragment syntax does not settle is a revalidated hit;
+        # nothing is searched, rejected or written.
+        spec = car.load()
+        fragments = (1 + len(list(spec.program.exchange_keys()))) \
+            * len(spec.trace_properties())
+        counters = telemetry.counters
+        assert counters["trace.fragment.hit"] \
+            + counters["tactic.exchange.skipped"] == fragments
+        for name in ("trace.fragment.searched", "trace.fragment.invalid",
+                     "store.put"):
+            assert name not in counters
 
 
 class TestBenignEdit:

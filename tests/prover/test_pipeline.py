@@ -82,8 +82,6 @@ class TestStoreReuse:
         assert all(r.checked for r in warm.results)
 
     def test_store_survives_check_disabled(self, browser_spec, tmp_path):
-        """With ``check_proofs=False`` only in-band-approved entries are
-        trusted — which is what the cold run recorded."""
         options = ProverOptions(proof_store=str(tmp_path))
         Verifier(browser_spec, options).verify_all()
         unchecked = ProverOptions(proof_store=str(tmp_path),
@@ -91,6 +89,93 @@ class TestStoreReuse:
         warm = Verifier(browser_spec, unchecked).verify_all()
         assert warm.all_proved
         assert all(r.source == "store" for r in warm.results)
+
+    def test_check_disabled_revalidates_only_what_it_reuses(
+            self, browser_spec, tmp_path, monkeypatch):
+        """With ``check_proofs=False`` a stored fragment is still
+        revalidated before reuse; nothing else is checked, and no result
+        claims a check."""
+        from repro.prover import engine
+
+        calls = []
+        for name in ("trace_base_complaints", "trace_exchange_complaints",
+                     "check_trace_proof", "check_ni_proof"):
+            def counting(*args, _real=getattr(engine, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(engine, name, counting)
+        options = ProverOptions(proof_store=str(tmp_path),
+                                check_proofs=False)
+        cold = Verifier(browser_spec, options).verify_all()
+        assert cold.all_proved and calls == []
+        with obs.use(obs.Telemetry()) as telemetry:
+            warm = Verifier(browser_spec, options).verify_all()
+        assert warm.all_proved
+        assert len(calls) == telemetry.counters["trace.fragment.hit"] > 0
+        assert not any(r.checked for r in cold.results + warm.results)
+
+
+class TestFragmentChecks:
+    """With a store, a trace derivation is the union of its fragments,
+    and each fragment is checked once: as it is read or searched."""
+
+    def test_a_rejected_searched_fragment_fails_and_is_not_filed(
+            self, tmp_path, monkeypatch):
+        from repro.prover import ProofStore, engine
+
+        real = engine.prove_trace_exchange
+        tampered = []
+
+        def tampering(tc, prop, scheme, ex):
+            part = real(tc, prop, scheme, ex)
+            if part and not tampered:
+                tampered.append((prop, ex.key))
+                return part[:-1]  # drop the last path's case
+            return part
+
+        monkeypatch.setattr(engine, "prove_trace_exchange", tampering)
+        spec = BENCHMARKS["car"].load()
+        verifier = Verifier(spec, ProverOptions(proof_store=str(tmp_path)))
+        report = verifier.verify_all()
+        ((prop, part),) = tampered
+        result = report.result_named(prop.name)
+        assert not result.proved
+        assert result.error.startswith(
+            "proof checker rejected the derivation: "
+            f"derivation for {prop.name} rejected: "
+        )
+        assert "missing case for" in result.error
+        assert all(r.proved for r in report.results if r is not result)
+        key = verifier.keys.fragment_key(prop, part)
+        assert ProofStore(tmp_path).get(key) is None
+
+    def test_a_stored_fragment_with_a_foreign_step_is_researched(
+            self, tmp_path):
+        from repro.prover import ProofStore, StoreEntry
+
+        spec = BENCHMARKS["car"].load()
+        options = ProverOptions(proof_store=str(tmp_path))
+        verifier = Verifier(spec, options)
+        assert verifier.verify_all().all_proved
+        store = ProofStore(tmp_path)
+        for prop in spec.trace_properties():
+            stored = [store.get(verifier.keys.fragment_key(prop, part))
+                      for part in spec.program.exchange_keys()]
+            stored = [entry for entry in stored if entry is not None]
+            if len(stored) >= 2:
+                break
+        entry, other = stored[:2]
+        store.put(StoreEntry(entry.key, entry.kind,
+                             entry.payload + other.payload[:1]))
+        with obs.use(obs.Telemetry()) as telemetry:
+            report = Verifier(spec, options).verify_all()
+        assert telemetry.counters["trace.fragment.invalid"] == 1
+        assert telemetry.counters["trace.fragment.searched"] == 1
+        cold = Verifier(spec).verify_all()
+        assert [(r.property.name, r.status, r.derivation_key())
+                for r in report.results] == \
+            [(r.property.name, r.status, r.derivation_key())
+             for r in cold.results]
 
 
 class TestNICheckStage:

@@ -209,7 +209,7 @@ class TestGoldenKeys:
 class TestStore:
     def test_round_trip(self, tmp_path):
         store = ProofStore(tmp_path)
-        entry = StoreEntry("k1", "trace", ("payload",), True)
+        entry = StoreEntry("k1", "trace-step", ("payload",))
         store.put(entry)
         assert store.get("k1") == entry
         assert len(store) == 1
@@ -222,7 +222,7 @@ class TestStore:
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         store = ProofStore(tmp_path)
-        store.put(StoreEntry("k1", "trace", ("payload",), True))
+        store.put(StoreEntry("k1", "trace-step", ("payload",)))
         path = store.path_for("k1")
         path.write_bytes(path.read_bytes()[:5])
         assert store.get("k1") is None
@@ -235,7 +235,7 @@ class TestStore:
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         store = ProofStore(tmp_path)
-        wrong = StoreEntry("other-key", "trace", ("payload",), True)
+        wrong = StoreEntry("other-key", "trace-step", ("payload",))
         store.path_for("k1").write_bytes(pickle.dumps(wrong))
         assert store.get("k1") is None
 
@@ -254,7 +254,7 @@ class TestStore:
 
         monkeypatch.setattr(proofstore_mod.os, "replace", failing_replace)
         with obs.use(obs.Telemetry()) as telemetry:
-            store.put(StoreEntry("k1", "trace", ("payload",), True))
+            store.put(StoreEntry("k1", "trace-step", ("payload",)))
         assert telemetry.counters.get("store.write_error") == 1
         assert telemetry.counters.get("store.put") is None
         assert store.get("k1") is None
@@ -273,7 +273,7 @@ class TestStore:
         monkeypatch.setattr(proofstore_mod.tempfile, "mkstemp",
                             failing_mkstemp)
         with obs.use(obs.Telemetry()) as telemetry:
-            store.put(StoreEntry("k1", "trace", ("payload",), True))
+            store.put(StoreEntry("k1", "trace-step", ("payload",)))
         assert telemetry.counters.get("store.write_error") == 1
         assert store.get("k1") is None
 
@@ -309,6 +309,57 @@ class TestStore:
             [r.derivation_key() for r in baseline.results]
 
 
+#: ``StoreEntry("k1", "ni-base", ("note",), True)`` as pickled when the
+#: entry had a fourth field, ``checked``.
+_FOUR_FIELD_PICKLE = (
+    b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x17"
+    b"repro.prover.proofstore\x94\x8c\nStoreEntry\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\x03key\x94\x8c\x02k1\x94\x8c\x04kind\x94\x8c\x07ni-base"
+    b"\x94\x8c\x07payload\x94\x8c\x04note\x94\x85\x94\x8c\x07checked"
+    b"\x94\x88ub."
+)
+
+
+def _four_field_pickle(entry):
+    """``entry`` pickled in the four-field shape: the same instance
+    dictionary with ``checked=True`` beside the three fields."""
+    object.__setattr__(entry, "checked", True)
+    return pickle.dumps(entry, protocol=4)
+
+
+class TestFourFieldEntries:
+    """A store written while entries carried ``checked`` stays usable."""
+
+    def test_a_four_field_entry_loads(self, tmp_path):
+        store = ProofStore(tmp_path)
+        store.path_for("k1").write_bytes(_FOUR_FIELD_PICKLE)
+        assert store.get("k1") == StoreEntry("k1", "ni-base", ("note",))
+        assert _four_field_pickle(StoreEntry("k1", "ni-base", ("note",))) \
+            == _FOUR_FIELD_PICKLE
+
+    def test_four_field_entries_are_reused(self, tmp_path):
+        from repro import obs
+
+        spec = BENCHMARKS["car"].load()
+        options = ProverOptions(proof_store=str(tmp_path))
+        first = Verifier(spec, options).verify_all()
+        store = ProofStore(tmp_path)
+        paths = sorted(tmp_path.glob("*.proof"))
+        assert paths
+        for path in paths:
+            path.write_bytes(_four_field_pickle(store.get(path.stem)))
+        with obs.use(obs.Telemetry()) as telemetry:
+            warm = Verifier(spec, options).verify_all()
+        assert [r.source for r in warm.results] == \
+            ["store"] * len(warm.results)
+        assert [r.derivation_key() for r in warm.results] == \
+            [r.derivation_key() for r in first.results]
+        assert telemetry.counters["trace.fragment.hit"] > 0
+        for name in ("trace.fragment.searched", "trace.fragment.invalid",
+                     "store.put", "store.corrupt"):
+            assert name not in telemetry.counters
+
+
 class TestStoreFaults:
     """Fault-injected writes: every failure path must reclaim the temp
     file and its descriptor, count ``store.write_error``, and return."""
@@ -319,7 +370,7 @@ class TestStoreFaults:
         from repro import obs
 
         store = ProofStore(tmp_path)
-        poisoned = StoreEntry("k1", "trace", (lambda: None,), True)
+        poisoned = StoreEntry("k1", "trace-step", (lambda: None,))
         with obs.use(obs.Telemetry()) as telemetry:
             store.put(poisoned)  # must absorb, not raise
         assert telemetry.counters.get("store.write_error") == 1
@@ -342,7 +393,7 @@ class TestStoreFaults:
         os.chmod(tmp_path, stat.S_IRUSR | stat.S_IXUSR)
         try:
             with obs.use(obs.Telemetry()) as telemetry:
-                store.put(StoreEntry("k1", "trace", ("payload",), True))
+                store.put(StoreEntry("k1", "trace-step", ("payload",)))
         finally:
             os.chmod(tmp_path, stat.S_IRWXU)
         assert telemetry.counters.get("store.write_error") == 1
@@ -369,15 +420,15 @@ class TestStoreFaults:
         monkeypatch.setattr(proofstore_mod.os, "fdopen", failing_fdopen)
         monkeypatch.setattr(proofstore_mod.os, "close", spying_close)
         with obs.use(obs.Telemetry()) as telemetry:
-            store.put(StoreEntry("k1", "trace", ("payload",), True))
+            store.put(StoreEntry("k1", "trace-step", ("payload",)))
         assert telemetry.counters.get("store.write_error") == 1
         assert len(closed) == 1
         assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestMultiWriterSafety:
-    """Concurrency fixes: inode-guarded corrupt-entry unlink, idempotent
-    puts, and orphaned-temp sweeping.
+    """Concurrency fixes: inode-guarded corrupt-entry unlink and
+    orphaned-temp sweeping.
 
     The regression the inode guard pins down: ``get()`` used to unlink a
     corrupt entry *blindly* — if a concurrent writer atomically replaced
@@ -393,7 +444,7 @@ class TestMultiWriterSafety:
         stale_stat = os.stat(path)
         # The race interleaving: a writer replaces the corrupt file with
         # a good entry before the reader gets to its unlink.
-        good = StoreEntry("k1", "trace", ("payload",), True)
+        good = StoreEntry("k1", "trace-step", ("payload",))
         ProofStore(tmp_path).put(good)
         ProofStore._unlink_if_same(path, stale_stat)
         assert path.exists(), "the fresh entry was destroyed"
@@ -406,38 +457,11 @@ class TestMultiWriterSafety:
         assert store.get("k1") is None
         assert not path.exists()
 
-    def test_repeat_checked_put_is_skipped(self, tmp_path):
-        store = ProofStore(tmp_path)
-        entry = StoreEntry("k1", "trace", ("payload",), True)
-        from repro import obs
-
-        with obs.use(obs.Telemetry()) as telemetry:
-            store.put(entry)
-            store.put(entry)
-        assert telemetry.counters.get("store.put") == 1
-        assert telemetry.counters.get("store.put_skipped") == 1
-        assert store.get("k1") == entry
-
-    def test_unchecked_put_never_downgrades_an_existing_entry(
-            self, tmp_path):
-        ProofStore(tmp_path).put(
-            StoreEntry("k1", "trace", ("payload",), True)
-        )
-        # A different process (fresh instance, empty _seen) tries to
-        # write an unchecked entry onto the same key.
-        other = ProofStore(tmp_path)
-        from repro import obs
-
-        with obs.use(obs.Telemetry()) as telemetry:
-            other.put(StoreEntry("k1", "trace", ("payload",), False))
-        assert telemetry.counters.get("store.put_skipped") == 1
-        assert ProofStore(tmp_path).get("k1").checked is True
-
     def test_sweep_temps_reclaims_orphans(self, tmp_path):
         store = ProofStore(tmp_path)
         (tmp_path / "dead-writer-1.tmp").write_bytes(b"partial")
         (tmp_path / "dead-writer-2.tmp").write_bytes(b"partial")
-        store.put(StoreEntry("k1", "trace", ("payload",), True))
+        store.put(StoreEntry("k1", "trace-step", ("payload",)))
         assert store.sweep_temps() == 2
         assert list(tmp_path.glob("*.tmp")) == []
         assert store.get("k1") is not None
@@ -445,7 +469,7 @@ class TestMultiWriterSafety:
     def test_clear_removes_temps_too(self, tmp_path):
         store = ProofStore(tmp_path)
         (tmp_path / "orphan.tmp").write_bytes(b"partial")
-        store.put(StoreEntry("k1", "trace", ("payload",), True))
+        store.put(StoreEntry("k1", "trace-step", ("payload",)))
         store.clear()
         assert list(tmp_path.glob("*")) == []
 
@@ -464,7 +488,7 @@ class TestMultiWriterSafety:
                 for round_ in range(25):
                     for key in keys:
                         store.put(StoreEntry(
-                            key, "trace", (key, worker, round_), True
+                            key, "trace-step", (key, worker, round_)
                         ))
             except Exception as error:  # noqa: BLE001
                 errors.append(error)

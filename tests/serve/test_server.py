@@ -81,6 +81,25 @@ class TestBatching:
         assert len({f[0]["session"] for f in verdicts}) == 3
         assert server.telemetry.counters["serve.batch.coalesced"] == 2
 
+    def test_a_group_serializes_its_report_once(self, server, monkeypatch):
+        from repro.prover.engine import VerificationReport
+
+        calls = []
+        real = VerificationReport.to_dict
+
+        def counting(report):
+            calls.append(report)
+            return real(report)
+
+        monkeypatch.setattr(VerificationReport, "to_dict", counting)
+        subs = [submission(server, car.SOURCE) for _ in range(2)]
+        server._process_batch(subs)
+        frames = [drain(s.replies)[0] for s in subs]
+        assert [frame["coalesced"] for frame in frames] == [2, 2]
+        assert len(calls) == 1
+        cached = server._verdict_cache[car.SOURCE]["report"]
+        assert frames[0]["report"] == frames[1]["report"] == cached
+
     def test_distinct_sources_verify_separately(self, server):
         edited = car.SOURCE.replace('"crank it up"', '"a bit louder"')
         a = submission(server, car.SOURCE)
