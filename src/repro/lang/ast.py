@@ -22,6 +22,7 @@ validator, interpreter, symbolic evaluator and prover all share them freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from . import types as ty
@@ -301,6 +302,13 @@ class Handler:
         """Dispatch key: (component type, message name)."""
         return (self.ctype, self.msg)
 
+    @cached_property
+    def effects(self) -> "Effects":
+        """The body's :func:`effects_of`, computed on first use and kept
+        on this handler object.  It is not a field, so equality,
+        hashing and proof-store fingerprints ignore it."""
+        return effects_of(self.body)
+
     def __str__(self) -> str:
         ps = ", ".join(self.params)
         return f"{self.ctype}=>{self.msg}({ps}): {self.body}"
@@ -418,20 +426,39 @@ def seq(*cmds: Cmd) -> Cmd:
     return Seq(tuple(flat))
 
 
-def assigned_vars(c: Cmd) -> frozenset:
-    """The set of global variables assigned anywhere inside ``c``.
+@dataclass(frozen=True)
+class Effects:
+    """What a command can do, read off its syntax alone: the message
+    names it can send, the component types it can spawn, the functions
+    it can call and the globals it assigns, on any path — however deeply
+    nested under ``if`` or ``lookup`` branches.
 
-    Used by the prover's syntactic skip check (paper section 6.4: "skipping
-    symbolic evaluation of handlers for which a simple syntactic check
-    suffices")."""
-    return frozenset(
-        x.var for x in sub_cmds(c) if isinstance(x, Assign)
-    )
+    The prover's syntactic skip (paper section 6.4: "skipping symbolic
+    evaluation of handlers for which a simple syntactic check
+    suffices") decides from these sets; a handler computes them once
+    (:attr:`Handler.effects`)."""
+
+    sends: frozenset
+    spawns: frozenset
+    calls: frozenset
+    assigns: frozenset
 
 
-def sends_and_spawns(c: Cmd) -> tuple:
-    """All :class:`SendCmd` and :class:`SpawnCmd` nodes inside ``c`` — the
-    commands that can emit property-relevant trace actions."""
-    return tuple(
-        x for x in sub_cmds(c) if isinstance(x, (SendCmd, SpawnCmd))
-    )
+#: The effects of ``Nop`` — of an exchange with no handler.
+NO_EFFECTS = Effects(frozenset(), frozenset(), frozenset(), frozenset())
+
+
+def effects_of(c: Cmd) -> Effects:
+    """The :class:`Effects` of ``c``, from one walk of its sub-commands."""
+    sends, spawns, calls, assigns = set(), set(), set(), set()
+    for x in sub_cmds(c):
+        if isinstance(x, SendCmd):
+            sends.add(x.msg)
+        elif isinstance(x, SpawnCmd):
+            spawns.add(x.ctype)
+        elif isinstance(x, CallCmd):
+            calls.add(x.func)
+        elif isinstance(x, Assign):
+            assigns.add(x.var)
+    return Effects(frozenset(sends), frozenset(spawns), frozenset(calls),
+                   frozenset(assigns))

@@ -118,10 +118,7 @@ def trace_exchange_complaints(step: GenericStep, scheme, ex,
     complaints: List[str] = []
     skip = recorded.get((ex.key, None))
     if isinstance(skip, SkippedExchange):
-        body = ex.handler.body if ex.handler is not None else None
-        if not exchange_statically_silent(
-            [scheme.trigger], ex.ctype, ex.msg, body
-        ):
+        if not exchange_statically_silent(scheme.trigger, ex):
             complaints.append(
                 f"invalid syntactic skip of {ex.ctype}=>{ex.msg}"
             )

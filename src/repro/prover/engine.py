@@ -9,16 +9,17 @@ false web-server policies.
 
 Verification runs as a staged pipeline (see :mod:`repro.prover.pipeline`):
 
-* **plan** — enumerate the property's obligations, each with a stable
-  content-addressed key;
+* **plan** — enumerate an NI property's obligations, each with a stable
+  content-addressed key (a trace property is one obligation, the
+  property itself, and is not planned: nothing reads its key);
 * **search** — discharge each obligation (consulting the persistent
   :mod:`proof store <repro.prover.proofstore>` first when one is
   configured), emitting a derivation;
 * **check** — validate the derivation through the independent
   :mod:`checker <repro.prover.checker>`.  With a store, a trace
   derivation is searched and stored fragment by fragment, and each
-  fragment is checked once, as it is read or searched; its trace
-  obligation's key names it, but only the fragments are filed.
+  fragment is checked once, as it is read or searched; only the
+  fragments are filed, each under the key of its own slice.
 
 ``verify_all()`` runs the properties one after another in the calling
 thread, with ``ProverOptions.deadline`` checked before every property
@@ -69,6 +70,7 @@ from .derivation import (
     BoundedSpec,
     InvariantProof,
     InvariantSpec,
+    SkippedExchange,
     StepProof,
     TracePropertyProof,
 )
@@ -424,6 +426,8 @@ class Verifier:
         self._invariant_cache: Dict[InvariantSpec, InvariantProof] = {}
         self._bounded_cache: Dict[BoundedSpec, BoundedProof] = {}
         self._labeling_cache: Dict[str, Labeling] = {}
+        #: the §6.4 skip record of each exchange (see TacticContext)
+        self._skips: Dict[Tuple[str, str], SkippedExchange] = {}
         #: every content address this verification uses
         self.keys = KeyTable(spec.program, self.options)
         self._store: Optional[ProofStore] = (
@@ -486,6 +490,7 @@ class Verifier:
             step=self.generic_step(),
             invariant_prover=self._invariant_prover,
             bounded_prover=self._bounded_prover,
+            skips=self._skips,
             syntactic_skip=self.options.syntactic_skip,
         )
 
@@ -569,7 +574,7 @@ class Verifier:
 
     def _prove_trace(self, prop: TraceProperty
                      ) -> Tuple[TracePropertyProof, bool, str]:
-        """Plan, search (store first) and check one trace property (the
+        """Search (store first) and check one trace property (the
         property's single pipeline obligation, instrumented as such)."""
         obs.event("obligation.start", property=prop.name,
                   obligation="trace")
@@ -593,9 +598,9 @@ class Verifier:
 
     def _prove_trace_inner(self, prop: TraceProperty
                            ) -> Tuple[TracePropertyProof, bool, str]:
-        """The uninstrumented body of :meth:`_prove_trace`."""
-        with obs.span("plan", property=prop.name):
-            self.plan(prop)
+        """The uninstrumented body of :meth:`_prove_trace`.  It plans
+        nothing: a trace property's one obligation is the property
+        itself, and only its fragments' keys are ever read."""
         if self._store is not None:
             # Every fragment was checked as it was read or searched, and
             # the derivation is exactly their union.

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..lang import ast
 from ..lang.errors import ProofSearchFailure
 from ..props.patterns import ActionPattern
 from ..symbolic.behabs import Exchange, GenericStep
@@ -56,7 +55,11 @@ from .derivation import (
     InvariantProof,
     InvariantSpec,
 )
-from .obligations import InstPattern, boundary_may_match, handler_may_emit
+from .obligations import (
+    InstPattern,
+    exchange_effects,
+    exchange_statically_silent,
+)
 
 #: SVar origins that persist across exchanges and may appear in invariants.
 PERSISTENT_ORIGINS = frozenset({"state", "init_call", "param"})
@@ -284,15 +287,10 @@ def _exchange_skippable(step: GenericStep, spec: InvariantSpec,
                         ex: Exchange, guard_globals: frozenset) -> bool:
     """Syntactic check: the exchange cannot assign a guard variable, and
     (for absence) cannot emit a matching action."""
-    body = ex.handler.body if ex.handler is not None else ast.Nop()
-    if ast.assigned_vars(body) & guard_globals:
+    if not exchange_effects(ex).assigns.isdisjoint(guard_globals):
         return False
-    if spec.kind == "absence":
-        if boundary_may_match(spec.inst.pattern, ex.ctype, ex.msg):
-            return False
-        if handler_may_emit(spec.inst.pattern, body):
-            return False
-    return True
+    return (spec.kind != "absence"
+            or exchange_statically_silent(spec.inst.pattern, ex))
 
 
 def _prove_case(step: GenericStep, spec: InvariantSpec, ex: Exchange,
@@ -376,13 +374,11 @@ def _check_bounded_base(step: GenericStep, spec) -> None:
 
 def _bounded_skippable(step: GenericStep, spec, ex: Exchange,
                        bound_name: str) -> bool:
-    body = ex.handler.body if ex.handler is not None else ast.Nop()
-    if bound_name in ast.assigned_vars(body):
-        return False
-    return not any(
-        isinstance(cmd, ast.SpawnCmd) and cmd.ctype == spec.ctype
-        for cmd in ast.sub_cmds(body)
-    )
+    """Syntactic check: the exchange cannot assign the bound and cannot
+    spawn a component of the bounded type."""
+    effects = exchange_effects(ex)
+    return (bound_name not in effects.assigns
+            and spec.ctype not in effects.spawns)
 
 
 def _bounded_case_ok(step: GenericStep, spec, path) -> bool:

@@ -17,7 +17,12 @@ An *occurrence* is a conditional match of the trigger pattern against one
 action template of one symbolic path (or of the Init trace).  The proof of
 a property is a justification for every occurrence; this module enumerates
 occurrences and provides the static possibility checks behind the paper's
-"simple syntactic check suffices" optimization (section 6.4).
+"simple syntactic check suffices" optimization (section 6.4).  Those
+checks decide from a handler's effect sets (:class:`~repro.lang.ast.Effects`:
+the messages it can send, the component types it can spawn, the functions
+it can call, the globals it assigns), computed once per handler object, so
+no skip decision walks a handler body.  The sets hold exactly what a walk
+of the body collects, so every decision is the walk's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from ..props.patterns import (
     SpawnPat,
 )
 from ..props.spec import TraceProperty
+from ..symbolic.behabs import Exchange
 from ..symbolic.expr import Term
 from ..symbolic.templates import Template
 from ..symbolic.unify import SymMatch, match_template
@@ -115,41 +121,31 @@ class InstPattern:
 # ---------------------------------------------------------------------------
 
 
-def handler_may_emit(pattern: ActionPattern, body: ast.Cmd) -> bool:
-    """Could *any* path of ``body`` emit an action this pattern matches?
+def exchange_effects(ex: Exchange) -> ast.Effects:
+    """The effects of exchange ``ex``'s handler: its cached
+    :attr:`~repro.lang.ast.Handler.effects`, or none for an exchange
+    with no handler (it behaves as ``Nop``)."""
+    return ex.handler.effects if ex.handler is not None else ast.NO_EFFECTS
 
-    Purely syntactic and conservative: ``True`` unless the AST rules a match
-    out by action kind, message name, or component type.  Recv/Select
-    patterns never match handler-emitted actions (only the exchange
-    boundary, which :func:`boundary_may_match` covers).
+
+def handler_may_emit(pattern: ActionPattern, effects: ast.Effects) -> bool:
+    """Could *any* path of a handler with these ``effects`` emit an
+    action this pattern matches?
+
+    Purely syntactic and conservative: ``True`` unless the handler's
+    effects rule a match out by action kind, message name, or component
+    type.  A send matches by message name alone: its target's type is
+    not known without a typing context.  Recv/Select patterns never
+    match handler-emitted actions (only the exchange boundary, which
+    :func:`boundary_may_match` covers).
     """
     if isinstance(pattern, SendPat):
-        for cmd in ast.sub_cmds(body):
-            if isinstance(cmd, ast.SendCmd) and cmd.msg == pattern.msg.name:
-                if _target_may_have_type(cmd.target, pattern.comp.ctype,
-                                         body):
-                    return True
-        return False
+        return pattern.msg.name in effects.sends
     if isinstance(pattern, SpawnPat):
-        return any(
-            isinstance(cmd, ast.SpawnCmd) and cmd.ctype == pattern.comp.ctype
-            for cmd in ast.sub_cmds(body)
-        )
+        return pattern.comp.ctype in effects.spawns
     if isinstance(pattern, CallPat):
-        return any(
-            isinstance(cmd, ast.CallCmd) and cmd.func == pattern.func
-            for cmd in ast.sub_cmds(body)
-        )
+        return pattern.func in effects.calls
     return False  # Recv / Select never appear inside a handler body
-
-
-def _target_may_have_type(target: ast.Expr, ctype: str,
-                          body: ast.Cmd) -> bool:
-    """Could ``target`` denote a component of type ``ctype``?  We cannot
-    type the expression without a context here, so only the trivially
-    decidable cases answer ``False``; everything else conservatively says
-    ``True`` (the full per-path analysis will refine it)."""
-    return True
 
 
 def boundary_may_match(pattern: ActionPattern, ctype: str,
@@ -163,20 +159,15 @@ def boundary_may_match(pattern: ActionPattern, ctype: str,
     return False
 
 
-def exchange_statically_silent(prop_patterns: Sequence[ActionPattern],
-                               ctype: str, msg: str,
-                               body: Optional[ast.Cmd]) -> bool:
-    """True when no pattern of the property can match anything a
-    (``ctype``, ``msg``) exchange produces — the exchange can then be
-    skipped entirely for trigger enumeration.
+def exchange_statically_silent(pattern: ActionPattern,
+                               ex: Exchange) -> bool:
+    """True when ``pattern`` cannot match anything exchange ``ex``
+    produces — the exchange can then be skipped entirely for trigger
+    enumeration.
 
     This is the reproduction of the paper's syntactic skip: sound because
     :func:`handler_may_emit` and :func:`boundary_may_match` are
     conservative.
     """
-    for pattern in prop_patterns:
-        if boundary_may_match(pattern, ctype, msg):
-            return False
-        if body is not None and handler_may_emit(pattern, body):
-            return False
-    return True
+    return not (boundary_may_match(pattern, ex.ctype, ex.msg)
+                or handler_may_emit(pattern, exchange_effects(ex)))

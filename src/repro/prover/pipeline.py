@@ -24,7 +24,7 @@ is its slice — the declarations, the Init block and, for an exchange,
 that one handler — so an edit to one handler re-keys only that
 handler's NI obligation.  A trace obligation's key, scoped by the whole
 program, names it, but only its fragments are filed, each under a key
-of its own slice.
+of its own slice; the verifier therefore plans only NI properties.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Both the search (:func:`prove_trace_property`) and the checker share
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..lang.errors import ProofSearchFailure
@@ -75,6 +75,10 @@ class TacticContext:
     step: GenericStep
     invariant_prover: InvariantProver
     bounded_prover: BoundedProver
+    #: each exchange's :class:`SkippedExchange` record by exchange key,
+    #: built on its first skip and shared by every property of the
+    #: verification
+    skips: Dict[Tuple[str, str], SkippedExchange]
     syntactic_skip: bool = True
     lemma_depth: int = 2
     _depth: int = 0
@@ -170,17 +174,19 @@ def syntactic_skip(tc: TacticContext, scheme: Scheme,
     """The §6.4 syntactic skip of one exchange's inductive case: its
     :class:`SkippedExchange` record (counted as
     ``tactic.exchange.skipped``) when the trigger cannot match anything
-    the exchange emits, else ``None``.  Decided from syntax alone, so
-    the engine's store-backed search asks it before the store."""
-    body = ex.handler.body if ex.handler is not None else None
-    if not (tc.syntactic_skip and exchange_statically_silent(
-        [scheme.trigger], ex.ctype, ex.msg, body
-    )):
+    the exchange emits, else ``None``.  Decided from the handler's
+    effect sets alone, so the engine's store-backed search asks it
+    before the store."""
+    if not (tc.syntactic_skip
+            and exchange_statically_silent(scheme.trigger, ex)):
         return None
     obs.incr("tactic.exchange.skipped")
-    return SkippedExchange(
-        ex.key, "trigger cannot match anything this exchange emits"
-    )
+    skip = tc.skips.get(ex.key)
+    if skip is None:
+        skip = tc.skips[ex.key] = SkippedExchange(
+            ex.key, "trigger cannot match anything this exchange emits"
+        )
+    return skip
 
 
 def prove_trace_exchange(tc: TacticContext, prop: TraceProperty,
@@ -663,6 +669,7 @@ def _try_sender_chain(tc: TacticContext, ctx: OccurrenceContext,
         invariant_prover=tc.invariant_prover,
         bounded_prover=tc.bounded_prover,
         syntactic_skip=tc.syntactic_skip,
+        skips=tc.skips,
         lemma_depth=tc.lemma_depth,
         _depth=tc._depth + 1,
     )

@@ -830,8 +830,10 @@ class VerificationServer:
                 report = verifier.verify_all()
                 # One key table per submission: the slice digests and
                 # keys the verification computed serve the session diff
-                # and the invalidation index too, so filing computes
-                # nothing, also for a group its deadline cut short.
+                # and the invalidation index too, and the program digest
+                # is built from the texts the table already rendered, so
+                # filing renders nothing again, also for a group its
+                # deadline cut short.
                 program_digest = verifier.program_digest()
                 digests = verifier.keys.slice_digests()
                 self.invalidation.record_program(verifier)

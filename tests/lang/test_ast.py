@@ -50,15 +50,15 @@ class TestTraversal:
             assign("a", lit(1)),
             ite(lit(True), assign("b", lit(2))),
         )
-        assert ast.assigned_vars(body) == {"a", "b"}
+        assert ast.effects_of(body).assigns == {"a", "b"}
 
     def test_sends_and_spawns(self):
         body = block(
             send(name("P"), "M"),
             ite(lit(True), spawn("x", "Cell", lit("k"))),
         )
-        nodes = ast.sends_and_spawns(body)
-        assert len(nodes) == 2
+        effects = ast.effects_of(body)
+        assert (effects.sends, effects.spawns) == ({"M"}, {"Cell"})
 
 
 class TestProgramQueries:

@@ -9,21 +9,39 @@ from dataclasses import replace
 
 import pytest
 
-from repro.lang import ProofCheckFailure
+from repro.lang import NUM, STR, ProofCheckFailure, ast
+from repro.lang.builder import (
+    ProgramBuilder, add, assign, call, cfg, eq, ite, lit, lookup, name, send,
+    spawn,
+)
 from repro.props import (
     TraceProperty, comp_pat, msg_pat, recv_pat, send_pat, specify,
 )
+from repro.props.patterns import CallPat, PWild, SpawnPat
 from repro.prover import Verifier
-from repro.prover.checker import check_trace_proof, trace_proof_complaints
+from repro.prover.checker import (
+    check_trace_proof,
+    trace_exchange_complaints,
+    trace_proof_complaints,
+)
 from repro.prover.derivation import (
+    BaseClean,
+    BoundedProof,
+    BoundedSpec,
+    CaseSyntacticSkip,
     EarlierWitness,
     HistoryInvariant,
     ImmWitness,
+    InvariantProof,
+    InvariantSpec,
     OccurrenceProof,
     PathProof,
     SkippedExchange,
     Vacuous,
 )
+from repro.prover.invariants import validate_bounded, validate_invariant
+from repro.prover.obligations import InstPattern, Scheme
+from repro.symbolic.behabs import generic_step
 
 
 def auth_prop():
@@ -195,3 +213,93 @@ class TestEngineIntegration:
             specify(ssh_info, prop), ProverOptions(check_proofs=False)
         ).prove_property(prop)
         assert result.proved and not result.checked
+
+
+def nested_effect_step(effect, nest):
+    """The symbolic step of a kernel whose one handler, ``Hub => Go``,
+    has ``effect`` (a send, spawn, call, or assignments to ``flag`` and
+    ``next``) nested under an ``if`` or a ``lookup`` branch, and nothing
+    else."""
+    cmd = {
+        "send": send(name("H"), "Ping", lit("x")),
+        "spawn": spawn("c", "Cell", name("next")),
+        "call": call("r", "policy", name("x")),
+        "assign": ast.seq(assign("flag", lit(True)),
+                          assign("next", add(name("next"), lit(1)))),
+    }[effect]
+    pred = eq(cfg(name("k"), "key"), lit(0))
+    body = {
+        "if": ite(eq(name("x"), lit("a")), cmd),
+        "lookup-found": lookup("k", "Cell", pred, cmd),
+        "lookup-missing": lookup("k", "Cell", pred, ast.Nop(), cmd),
+    }[nest]
+    b = ProgramBuilder("nested")
+    b.component("Hub", "hub.py")
+    b.component("Cell", "cell.py", key=NUM)
+    b.message("Go", STR)
+    b.message("Ping", STR)
+    b.init(assign("flag", lit(False)), assign("next", lit(0)),
+           spawn("H", "Hub"))
+    b.handler("Hub", "Go", ["x"], body)
+    return generic_step(b.build_validated())
+
+
+class TestForgedNestedSkips:
+    """A skip is valid only if no path of the handler has the effect,
+    however deep in a branch it sits: the checker rejects a forged
+    trace skip, invariant skip and bounded skip of ``Hub => Go``, and
+    accepts the same forgery for ``Cell => Go``, which has no
+    handler."""
+
+    PATTERNS = {
+        "send": send_pat(comp_pat("Hub"), msg_pat("Ping", "_")),
+        "spawn": SpawnPat(comp_pat("Cell", "_")),
+        "call": CallPat("policy", (PWild(),)),
+    }
+
+    @pytest.mark.parametrize("nest", ["if", "lookup-found",
+                                      "lookup-missing"])
+    @pytest.mark.parametrize("effect", ["send", "spawn", "call", "assign"])
+    def test_forged_skips_are_rejected(self, effect, nest):
+        step = nested_effect_step(effect, nest)
+        pre = step.pre_env_dict()
+        forged = (step.exchange("Hub", "Go"), step.exchange("Cell", "Go"))
+        rejected = []
+
+        if effect in self.PATTERNS:
+            pattern = self.PATTERNS[effect]
+            scheme = Scheme(pattern, pattern, "before")
+            for ex in forged:
+                complaints = trace_exchange_complaints(
+                    step, scheme, ex,
+                    {(ex.key, None): SkippedExchange(ex.key, "forged")})
+                if complaints:
+                    rejected.append(("trace", ex.key))
+            invariant = InvariantSpec("absence", (),
+                                      InstPattern(pattern, ()), ())
+        else:
+            invariant = InvariantSpec(
+                "history", (pre["flag"],),
+                InstPattern(self.PATTERNS["send"], ()), ())
+        complaints = validate_invariant(step, InvariantProof(
+            invariant, BaseClean(()),
+            tuple((ex.key, -1, CaseSyntacticSkip()) for ex in forged)))
+        for ex in forged:
+            if f"invalid syntactic skip at {ex.ctype}=>{ex.msg}" \
+                    in complaints:
+                rejected.append(("invariant", ex.key))
+
+        if effect in ("spawn", "assign"):
+            complaints = validate_bounded(step, BoundedProof(
+                BoundedSpec("Cell", 0, pre["next"]),
+                tuple((ex.key, -1, "skip") for ex in forged)))
+            for ex in forged:
+                if f"invalid bounded skip at {ex.ctype}=>{ex.msg}" \
+                        in complaints:
+                    rejected.append(("bounded", ex.key))
+
+        kinds = {"send": ["trace", "invariant"],
+                 "spawn": ["trace", "invariant", "bounded"],
+                 "call": ["trace", "invariant"],
+                 "assign": ["invariant", "bounded"]}[effect]
+        assert rejected == [(kind, ("Hub", "Go")) for kind in kinds]

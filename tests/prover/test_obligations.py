@@ -68,7 +68,7 @@ class TestOccurrences:
 
 class TestStaticChecks:
     def test_handler_may_emit_send(self):
-        body = block(send(name("P"), "ReqTerm", lit("u")))
+        body = ast.effects_of(block(send(name("P"), "ReqTerm", lit("u"))))
         assert handler_may_emit(
             send_pat(comp_pat("Terminal"), msg_pat("ReqTerm", "_")), body
         )
@@ -77,17 +77,17 @@ class TestStaticChecks:
         )
 
     def test_handler_may_emit_spawn(self):
-        body = block(spawn("c", "Cell", lit("k")))
+        body = ast.effects_of(block(spawn("c", "Cell", lit("k"))))
         assert handler_may_emit(SpawnPat(comp_pat("Cell", "_")), body)
         assert not handler_may_emit(SpawnPat(comp_pat("Tab", "_")), body)
 
     def test_handler_may_emit_call(self):
-        body = block(call("r", "policy", lit("h")))
+        body = ast.effects_of(block(call("r", "policy", lit("h"))))
         assert handler_may_emit(CallPat("policy", (PWild(),)), body)
         assert not handler_may_emit(CallPat("other", (PWild(),)), body)
 
     def test_recv_patterns_never_emitted_by_handlers(self):
-        body = block(send(name("P"), "Auth", lit("u")))
+        body = ast.effects_of(block(send(name("P"), "Auth", lit("u"))))
         assert not handler_may_emit(
             recv_pat(comp_pat("Password"), msg_pat("Auth", "_")), body
         )
@@ -101,20 +101,17 @@ class TestStaticChecks:
         assert boundary_may_match(select, "Password", "Anything")
 
     def test_exchange_statically_silent(self, ssh_info):
+        step = generic_step(ssh_info)
         trigger = send_pat(comp_pat("Terminal"), msg_pat("ReqTerm", "?u"))
-        handler = ssh_info.program.handler_for("Connection", "ReqTerm")
         assert not exchange_statically_silent(
-            [trigger], "Connection", "ReqTerm", handler.body
+            trigger, step.exchange("Connection", "ReqTerm")
         )
-        other = ssh_info.program.handler_for("Connection", "ReqAuth")
         assert exchange_statically_silent(
-            [trigger], "Connection", "ReqAuth", other.body
+            trigger, step.exchange("Connection", "ReqAuth")
         )
         # Nop exchanges are silent unless the boundary matches.
-        assert exchange_statically_silent(
-            [trigger], "Terminal", "Auth", None
-        )
+        nop = step.exchange("Terminal", "Auth")
+        assert nop.handler is None
+        assert exchange_statically_silent(trigger, nop)
         recv_trigger = recv_pat(comp_pat("Terminal"), msg_pat("Auth", "?u"))
-        assert not exchange_statically_silent(
-            [recv_trigger], "Terminal", "Auth", None
-        )
+        assert not exchange_statically_silent(recv_trigger, nop)
