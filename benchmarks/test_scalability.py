@@ -35,7 +35,7 @@ def test_scaling_is_subquadratic_per_property(benchmark, record_table):
 
     def sweep():
         out = []
-        for groups in (2, 4, 8, 16, 32):
+        for groups in (2, 4, 8, 16, 32, 64):
             spec = synthetic_kernel(groups)
             start = time.perf_counter()
             report = Verifier(spec).verify_all()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import types as ty
 from .values import Value
@@ -343,10 +343,14 @@ class Program:
     def handler_for(self, ctype: str, msg: str) -> Optional[Handler]:
         """The handler dispatched for (``ctype``, ``msg``), or ``None`` when
         the kernel ignores this message (implicit ``Nop`` handler)."""
-        for h in self.handlers:
-            if h.ctype == ctype and h.msg == msg:
-                return h
-        return None
+        return self.effect_index.handlers.get((ctype, msg))
+
+    @cached_property
+    def effect_index(self) -> "EffectIndex":
+        """The program's :class:`EffectIndex`, built on first use and
+        kept on this program object.  It is not a field, so equality,
+        hashing and proof-store fingerprints ignore it."""
+        return EffectIndex.of(self)
 
     def exchange_keys(self) -> Tuple[Tuple[str, str], ...]:
         """Every (component type, message name) pair the kernel can receive —
@@ -435,17 +439,14 @@ class Effects:
 
     The prover's syntactic skip (paper section 6.4: "skipping symbolic
     evaluation of handlers for which a simple syntactic check
-    suffices") decides from these sets; a handler computes them once
-    (:attr:`Handler.effects`)."""
+    suffices") decides from these sets: a handler computes them once
+    (:attr:`Handler.effects`), and a program files them by exchange in
+    its :class:`EffectIndex`."""
 
     sends: frozenset
     spawns: frozenset
     calls: frozenset
     assigns: frozenset
-
-
-#: The effects of ``Nop`` — of an exchange with no handler.
-NO_EFFECTS = Effects(frozenset(), frozenset(), frozenset(), frozenset())
 
 
 def effects_of(c: Cmd) -> Effects:
@@ -462,3 +463,58 @@ def effects_of(c: Cmd) -> Effects:
             assigns.add(x.var)
     return Effects(frozenset(sends), frozenset(spawns), frozenset(calls),
                    frozenset(assigns))
+
+
+@dataclass(frozen=True, eq=False)
+class EffectIndex:
+    """Which exchanges of a kernel can produce what, read off its
+    handlers' :class:`Effects`: the table every §6.4 syntactic skip
+    decision looks up, built once per program
+    (:attr:`Program.effect_index`).
+
+    Each of the last six tables maps a name to the frozenset of the
+    exchange keys ``(ctype, msg)`` whose boundary or handler can
+    produce it: a ``Select`` by a component type, a ``Recv`` of a
+    (component type, message) pair, a sent message name, a spawned
+    component type, a called function, an assigned global.  A name no
+    exchange produces has no entry."""
+
+    #: each handler key → the first handler with it (dispatch's pick)
+    handlers: Dict[Tuple[str, str], Handler]
+    #: each exchange key → its position in :meth:`Program.exchange_keys`
+    positions: Dict[Tuple[str, str], int]
+    selects: Dict[str, frozenset]
+    recvs: Dict[Tuple[str, str], frozenset]
+    sends: Dict[str, frozenset]
+    spawns: Dict[str, frozenset]
+    calls: Dict[str, frozenset]
+    assigns: Dict[str, frozenset]
+
+    @classmethod
+    def of(cls, program: Program) -> "EffectIndex":
+        """The index of ``program``, from one pass over its exchanges
+        and the cached :attr:`Handler.effects` of their handlers."""
+        handlers: Dict[Tuple[str, str], Handler] = {}
+        for handler in program.handlers:
+            handlers.setdefault(handler.key, handler)
+        keys = program.exchange_keys()
+        tables: Tuple[dict, ...] = tuple({} for _ in range(6))
+        selects, recvs, sends, spawns, calls, assigns = tables
+        for key in keys:
+            selects.setdefault(key[0], []).append(key)
+            recvs[key] = [key]
+            handler = handlers.get(key)
+            if handler is None:
+                continue  # behaves as Nop: produces its boundary only
+            effects = handler.effects
+            for table, names in ((sends, effects.sends),
+                                 (spawns, effects.spawns),
+                                 (calls, effects.calls),
+                                 (assigns, effects.assigns)):
+                for name in names:
+                    table.setdefault(name, []).append(key)
+        return cls(
+            handlers, {key: i for i, key in enumerate(keys)},
+            *({name: frozenset(found) for name, found in table.items()}
+              for table in tables),
+        )

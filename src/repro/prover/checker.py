@@ -36,7 +36,7 @@ from .derivation import (
     TracePropertyProof,
 )
 from .ni import NIProof, build_labeling, check_ni_base, feasible_ni_triples
-from .obligations import exchange_statically_silent, occurrences, scheme_of
+from .obligations import live_exchanges, occurrences, scheme_of
 from .trace_tactics import OccurrenceContext, validate_justification
 
 
@@ -54,23 +54,19 @@ def check_trace_proof(step: GenericStep,
 def trace_proof_complaints(step: GenericStep,
                            proof: TracePropertyProof) -> List[str]:
     """All reasons the derivation fails to validate (empty = valid)."""
-    complaints: List[str] = []
-    prop = proof.property
-    expected_scheme = scheme_of(prop)
-    if proof.scheme != expected_scheme:
-        complaints.append("derivation scheme does not match the property")
-        return complaints
-    scheme = expected_scheme
-
+    scheme = scheme_of(proof.property)
+    if proof.scheme != scheme:
+        return ["derivation scheme does not match the property"]
     # Base case coverage + justification validity.
-    complaints.extend(trace_base_complaints(step, scheme, proof.base))
-
-    # Inductive coverage.
+    complaints = trace_base_complaints(step, scheme, proof.base)
+    # Inductive coverage: every skip with one lookup, then the rest.
     recorded = record_step_proofs(proof.steps, complaints)
+    complaints.extend(trace_skip_complaints(
+        step, scheme, [key for key, index in recorded if index is None]))
     for ex in step.exchanges:
-        complaints.extend(
-            trace_exchange_complaints(step, scheme, ex, recorded)
-        )
+        if (ex.key, None) not in recorded:
+            complaints.extend(
+                trace_exchange_complaints(step, scheme, ex, recorded))
     return complaints
 
 
@@ -108,6 +104,16 @@ def record_step_proofs(steps, complaints: List[str]) -> dict:
     return recorded
 
 
+def trace_skip_complaints(step: GenericStep, scheme, keys) -> List[str]:
+    """Validate the syntactic skips of the exchanges ``keys`` with one
+    lookup: none of them may produce the trigger."""
+    live = live_exchanges(step.info.program, scheme.trigger)
+    if live.isdisjoint(keys):
+        return []
+    return [f"invalid syntactic skip of {ctype}=>{msg}"
+            for ctype, msg in keys if (ctype, msg) in live]
+
+
 def trace_exchange_complaints(step: GenericStep, scheme, ex,
                               recorded: dict) -> List[str]:
     """Validate one exchange's inductive case in isolation.
@@ -115,14 +121,9 @@ def trace_exchange_complaints(step: GenericStep, scheme, ex,
     ``recorded`` maps ``(exchange_key, path_index-or-None)`` to the
     step proofs on offer (see :func:`record_step_proofs`).  Shared
     between the whole-proof checker and the engine's fragment reuse."""
+    if isinstance(recorded.get((ex.key, None)), SkippedExchange):
+        return trace_skip_complaints(step, scheme, (ex.key,))
     complaints: List[str] = []
-    skip = recorded.get((ex.key, None))
-    if isinstance(skip, SkippedExchange):
-        if not exchange_statically_silent(scheme.trigger, ex):
-            complaints.append(
-                f"invalid syntactic skip of {ex.ctype}=>{ex.msg}"
-            )
-        return complaints
     for path_index, path in enumerate(ex.paths):
         path_proof = recorded.get((ex.key, path_index))
         if not isinstance(path_proof, PathProof):

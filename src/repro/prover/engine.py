@@ -63,6 +63,7 @@ from .checker import (
     record_step_proofs,
     trace_base_complaints,
     trace_exchange_complaints,
+    trace_skip_complaints,
 )
 from .derivation import (
     BaseProof,
@@ -103,7 +104,7 @@ from .trace_tactics import (
     prove_trace_base,
     prove_trace_exchange,
     prove_trace_property,
-    syntactic_skip,
+    syntactic_skips,
 )
 
 # Unused here: perfbench/layers.py (TARGETS) wraps both by their names
@@ -624,26 +625,35 @@ class Verifier:
         through the proof store (base case + one fragment per exchange):
         the derivation, and whether any fragment of it was searched.
 
-        An exchange the §6.4 syntactic skip settles is decided first,
-        from syntax alone, and never touches the store.  Every other
+        The exchanges the §6.4 syntactic skip settles are decided first,
+        from syntax alone, with one lookup; they are not fragments and
+        never touch the store.  With ``check_proofs`` the checker then
+        validates all of them in one call, so a rejected skip fails the
+        property before any fragment is read or filed.  Every other
         fragment is looked up under its dependency-scoped key and
         revalidated through the independent checker before reuse — so an
         incremental edit to one handler re-proves only the fragments
         whose dependency slice changed (or whose revalidation fails, e.g.
         a stale secondary-induction invariant).  With ``check_proofs`` a
-        skip and a searched fragment are checked too, and a searched
-        fragment is filed only once the checker accepts it; a rejection
-        fails the property with :class:`ProofCheckFailure`.  The run's
-        deadline is checked before each fragment, so the search stops
-        between fragments."""
+        searched fragment is checked too, and filed only once the
+        checker accepts it; a rejection fails the property with
+        :class:`ProofCheckFailure`.  The run's deadline is checked
+        before each fragment, so the search stops between fragments."""
         scheme = scheme_of(prop)
         step = self.generic_step()
         tc = self._tactic_context()
         with obs.span("search", property=prop.name):
             self._check_deadline(prop)
+            skips = syntactic_skips(tc, scheme)
+            if self.options.check_proofs:
+                _reject(prop, trace_skip_complaints(step, scheme, skips))
             base, searched = self._fragment_base(tc, prop, scheme, step)
             steps: List[StepProof] = []
             for ex in step.exchanges:
+                skip = skips.get(ex.key)
+                if skip is not None:
+                    steps.append(skip)
+                    continue
                 self._check_deadline(prop)
                 part, fresh = self._fragment_exchange(tc, prop, scheme,
                                                       step, ex)
@@ -673,14 +683,6 @@ class Verifier:
     def _fragment_exchange(self, tc, prop: TraceProperty, scheme,
                            step: GenericStep, ex
                            ) -> Tuple[List[StepProof], bool]:
-        # A syntactic skip is decided from syntax alone, so it never
-        # costs a store read or a write.
-        skip = syntactic_skip(tc, scheme, ex)
-        if skip is not None:
-            if self.options.check_proofs:
-                _reject(prop, trace_exchange_complaints(
-                    step, scheme, ex, {(ex.key, None): skip}))
-            return [skip], False
         key = self.keys.fragment_key(prop, ex.key)
         entry = self._store.get(key)
         if (entry is not None and entry.kind == "trace-step"

@@ -55,11 +55,7 @@ from .derivation import (
     InvariantProof,
     InvariantSpec,
 )
-from .obligations import (
-    InstPattern,
-    exchange_effects,
-    exchange_statically_silent,
-)
+from .obligations import InstPattern, live_exchanges
 
 #: SVar origins that persist across exchanges and may appear in invariants.
 PERSISTENT_ORIGINS = frozenset({"state", "init_call", "param"})
@@ -239,14 +235,14 @@ def prove_invariant(step: GenericStep, spec: InvariantSpec,
     :class:`ProofSearchFailure`."""
     base = _prove_base(step, spec)
     cases: List[Tuple[Tuple[str, str], int, InvariantCase]] = []
-    guard_globals = _guard_globals(step, spec)
+    live = _invariant_live(step, spec) if syntactic_skip else None
+    skip = CaseSyntacticSkip()
+    skipped = 0
     for ex in step.exchanges:
-        skip = syntactic_skip and _exchange_skippable(
-            step, spec, ex, guard_globals
-        )
-        if skip:
-            obs.incr("invariant.exchange.skipped")
-            cases.append((ex.key, -1, CaseSyntacticSkip()))
+        key = ex.key
+        if live is not None and key not in live:
+            skipped += 1
+            cases.append((key, -1, skip))
             continue
         for path_index, path in enumerate(ex.paths):
             obs.incr("invariant.case")
@@ -258,6 +254,8 @@ def prove_invariant(step: GenericStep, spec: InvariantSpec,
                     residual=[str(path)],
                 )
             cases.append((ex.key, path_index, case))
+    if skipped:
+        obs.incr("invariant.exchange.skipped", skipped)
     return InvariantProof(spec=spec, base=base, cases=tuple(cases))
 
 
@@ -283,14 +281,17 @@ def _prove_base(step: GenericStep, spec: InvariantSpec):
     return BaseClean(refuted)
 
 
-def _exchange_skippable(step: GenericStep, spec: InvariantSpec,
-                        ex: Exchange, guard_globals: frozenset) -> bool:
-    """Syntactic check: the exchange cannot assign a guard variable, and
-    (for absence) cannot emit a matching action."""
-    if not exchange_effects(ex).assigns.isdisjoint(guard_globals):
-        return False
-    return (spec.kind != "absence"
-            or exchange_statically_silent(spec.inst.pattern, ex))
+def _invariant_live(step: GenericStep, spec: InvariantSpec) -> frozenset:
+    """The exchanges the syntactic skip leaves to the induction: those
+    that can assign a global the guard reads and, for absence, those
+    that can emit a matching action."""
+    program = step.info.program
+    assigns = program.effect_index.assigns
+    live = [assigns.get(name, frozenset())
+            for name in _guard_globals(step, spec)]
+    if spec.kind == "absence":
+        live.append(live_exchanges(program, spec.inst.pattern))
+    return frozenset().union(*live)
 
 
 def _prove_case(step: GenericStep, spec: InvariantSpec, ex: Exchange,
@@ -329,10 +330,10 @@ def prove_bounded(step: GenericStep, spec) -> "BoundedProof":
     from .derivation import BoundedProof
 
     _check_bounded_base(step, spec)
-    bound_name = _bound_var_name(step, spec)
+    live = _bounded_live(step, spec, _bound_var_name(step, spec))
     cases: List[Tuple[Tuple[str, str], int, str]] = []
     for ex in step.exchanges:
-        if _bounded_skippable(step, spec, ex, bound_name):
+        if ex.key not in live:
             cases.append((ex.key, -1, "skip"))
             continue
         for path_index, path in enumerate(ex.paths):
@@ -372,13 +373,13 @@ def _check_bounded_base(step: GenericStep, spec) -> None:
                 )
 
 
-def _bounded_skippable(step: GenericStep, spec, ex: Exchange,
-                       bound_name: str) -> bool:
-    """Syntactic check: the exchange cannot assign the bound and cannot
-    spawn a component of the bounded type."""
-    effects = exchange_effects(ex)
-    return (bound_name not in effects.assigns
-            and spec.ctype not in effects.spawns)
+def _bounded_live(step: GenericStep, spec, bound_name: str) -> frozenset:
+    """The exchanges the syntactic skip leaves to the bounded induction:
+    those that can assign the bound or spawn a component of the bounded
+    type."""
+    index = step.info.program.effect_index
+    return (index.assigns.get(bound_name, frozenset())
+            | index.spawns.get(spec.ctype, frozenset()))
 
 
 def _bounded_case_ok(step: GenericStep, spec, path) -> bool:
@@ -408,13 +409,13 @@ def validate_bounded(step: GenericStep, proof) -> List[str]:
     spec = proof.spec
     try:
         _check_bounded_base(step, spec)
-        bound_name = _bound_var_name(step, spec)
+        live = _bounded_live(step, spec, _bound_var_name(step, spec))
     except ProofSearchFailure as failure:
         return [str(failure)]
     recorded = {(key, idx): tag for key, idx, tag in proof.cases}
     for ex in step.exchanges:
         if recorded.get((ex.key, -1)) == "skip":
-            if not _bounded_skippable(step, spec, ex, bound_name):
+            if ex.key in live:
                 complaints.append(
                     f"invalid bounded skip at {ex.ctype}=>{ex.msg}"
                 )
@@ -473,11 +474,11 @@ def validate_invariant(step: GenericStep, proof: InvariantProof) -> List[str]:
     recorded = {}
     for key, path_index, case in proof.cases:
         recorded[(key, path_index)] = case
-    guard_globals = _guard_globals(step, spec)
+    live = _invariant_live(step, spec)
     for ex in step.exchanges:
         whole = recorded.get((ex.key, -1))
         if isinstance(whole, CaseSyntacticSkip):
-            if not _exchange_skippable(step, spec, ex, guard_globals):
+            if ex.key in live:
                 complaints.append(
                     f"invalid syntactic skip at {ex.ctype}=>{ex.msg}"
                 )

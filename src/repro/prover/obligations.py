@@ -16,13 +16,16 @@ Primitive       Trigger    Required   Mode
 An *occurrence* is a conditional match of the trigger pattern against one
 action template of one symbolic path (or of the Init trace).  The proof of
 a property is a justification for every occurrence; this module enumerates
-occurrences and provides the static possibility checks behind the paper's
-"simple syntactic check suffices" optimization (section 6.4).  Those
-checks decide from a handler's effect sets (:class:`~repro.lang.ast.Effects`:
-the messages it can send, the component types it can spawn, the functions
-it can call, the globals it assigns), computed once per handler object, so
-no skip decision walks a handler body.  The sets hold exactly what a walk
-of the body collects, so every decision is the walk's.
+occurrences and provides the static possibility check behind the paper's
+"simple syntactic check suffices" optimization (section 6.4):
+:func:`live_exchanges`, the exchanges that can produce what a pattern
+matches.  It is one lookup in the program's effect index
+(:class:`~repro.lang.ast.EffectIndex`), built once per program from its
+handlers' effect sets (the messages each can send, the component types
+it can spawn, the functions it can call, the globals it assigns), so a
+property's skips are decided with one lookup and no skip decision walks
+a handler body.  The sets hold exactly what a walk of the body collects,
+so every decision is the walk's.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from ..props.patterns import (
     SpawnPat,
 )
 from ..props.spec import TraceProperty
-from ..symbolic.behabs import Exchange
 from ..symbolic.expr import Term
 from ..symbolic.templates import Template
 from ..symbolic.unify import SymMatch, match_template
@@ -121,53 +123,32 @@ class InstPattern:
 # ---------------------------------------------------------------------------
 
 
-def exchange_effects(ex: Exchange) -> ast.Effects:
-    """The effects of exchange ``ex``'s handler: its cached
-    :attr:`~repro.lang.ast.Handler.effects`, or none for an exchange
-    with no handler (it behaves as ``Nop``)."""
-    return ex.handler.effects if ex.handler is not None else ast.NO_EFFECTS
+def live_exchanges(program: ast.Program,
+                   pattern: ActionPattern) -> frozenset:
+    """The keys of the exchanges of ``program`` whose boundary or
+    handler can produce an action ``pattern`` matches: one lookup in the
+    program's :class:`~repro.lang.ast.EffectIndex`.  Every other
+    exchange is statically silent for ``pattern``, and the syntactic
+    skip may discharge it without symbolic evaluation.
 
-
-def handler_may_emit(pattern: ActionPattern, effects: ast.Effects) -> bool:
-    """Could *any* path of a handler with these ``effects`` emit an
-    action this pattern matches?
-
-    Purely syntactic and conservative: ``True`` unless the handler's
-    effects rule a match out by action kind, message name, or component
-    type.  A send matches by message name alone: its target's type is
-    not known without a typing context.  Recv/Select patterns never
-    match handler-emitted actions (only the exchange boundary, which
-    :func:`boundary_may_match` covers).
+    Purely syntactic and conservative: a Select or Recv pattern matches
+    the boundary of the exchanges of its component type (and message);
+    a send pattern matches a handler that can send its message name
+    (its target's type is not known without a typing context); a spawn
+    or call pattern matches a handler that can spawn its type or call
+    its function.  No handler emits a Select or Recv.
     """
-    if isinstance(pattern, SendPat):
-        return pattern.msg.name in effects.sends
-    if isinstance(pattern, SpawnPat):
-        return pattern.comp.ctype in effects.spawns
-    if isinstance(pattern, CallPat):
-        return pattern.func in effects.calls
-    return False  # Recv / Select never appear inside a handler body
-
-
-def boundary_may_match(pattern: ActionPattern, ctype: str,
-                       msg: str) -> bool:
-    """Could the Select/Recv boundary actions of a (``ctype``, ``msg``)
-    exchange match ``pattern``?"""
+    index = program.effect_index
     if isinstance(pattern, SelectPat):
-        return pattern.comp.ctype == ctype
-    if isinstance(pattern, RecvPat):
-        return pattern.comp.ctype == ctype and pattern.msg.name == msg
-    return False
-
-
-def exchange_statically_silent(pattern: ActionPattern,
-                               ex: Exchange) -> bool:
-    """True when ``pattern`` cannot match anything exchange ``ex``
-    produces — the exchange can then be skipped entirely for trigger
-    enumeration.
-
-    This is the reproduction of the paper's syntactic skip: sound because
-    :func:`handler_may_emit` and :func:`boundary_may_match` are
-    conservative.
-    """
-    return not (boundary_may_match(pattern, ex.ctype, ex.msg)
-                or handler_may_emit(pattern, exchange_effects(ex)))
+        table, name = index.selects, pattern.comp.ctype
+    elif isinstance(pattern, RecvPat):
+        table, name = index.recvs, (pattern.comp.ctype, pattern.msg.name)
+    elif isinstance(pattern, SendPat):
+        table, name = index.sends, pattern.msg.name
+    elif isinstance(pattern, SpawnPat):
+        table, name = index.spawns, pattern.comp.ctype
+    elif isinstance(pattern, CallPat):
+        table, name = index.calls, pattern.func
+    else:
+        return frozenset()
+    return table.get(name, frozenset())

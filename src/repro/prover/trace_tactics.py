@@ -56,7 +56,7 @@ from .invariants import generalization_instantiation, generalize, instantiate
 from .obligations import (
     Occurrence,
     Scheme,
-    exchange_statically_silent,
+    live_exchanges,
     occurrences,
     scheme_of,
 )
@@ -122,9 +122,14 @@ def prove_trace_property(
     """Find a derivation for ``prop`` or raise :class:`ProofSearchFailure`."""
     scheme = scheme_of(prop)
     base = prove_trace_base(tc, prop, scheme)
+    skips = syntactic_skips(tc, scheme)
     steps: List[StepProof] = []
     for ex in tc.step.exchanges:
-        steps.extend(prove_trace_exchange(tc, prop, scheme, ex))
+        skip = skips.get(ex.key)
+        if skip is not None:
+            steps.append(skip)
+        else:
+            steps.extend(prove_trace_exchange(tc, prop, scheme, ex))
     return TracePropertyProof(
         property=prop, scheme=scheme, base=base, steps=tuple(steps),
     )
@@ -169,34 +174,38 @@ def prove_trace_base(tc: TacticContext, prop: TraceProperty,
     return BaseProof(tuple(base_proofs))
 
 
-def syntactic_skip(tc: TacticContext, scheme: Scheme,
-                   ex: Exchange) -> Optional[SkippedExchange]:
-    """The §6.4 syntactic skip of one exchange's inductive case: its
-    :class:`SkippedExchange` record (counted as
-    ``tactic.exchange.skipped``) when the trigger cannot match anything
-    the exchange emits, else ``None``.  Decided from the handler's
-    effect sets alone, so the engine's store-backed search asks it
-    before the store."""
-    if not (tc.syntactic_skip
-            and exchange_statically_silent(scheme.trigger, ex)):
-        return None
-    obs.incr("tactic.exchange.skipped")
-    skip = tc.skips.get(ex.key)
-    if skip is None:
-        skip = tc.skips[ex.key] = SkippedExchange(
-            ex.key, "trigger cannot match anything this exchange emits"
-        )
-    return skip
+def syntactic_skips(tc: TacticContext, scheme: Scheme
+                    ) -> Dict[Tuple[str, str], SkippedExchange]:
+    """The §6.4 syntactic skips of a property's inductive cases: the
+    :class:`SkippedExchange` record of every exchange whose boundary and
+    handler cannot produce the trigger, by exchange key.  Decided with
+    one lookup of the exchanges that can
+    (:func:`~repro.prover.obligations.live_exchanges`) and counted once,
+    as ``tactic.exchange.skipped``; decided from syntax alone, so the
+    engine's store-backed search asks it before the store."""
+    if not tc.syntactic_skip:
+        return {}
+    live = live_exchanges(tc.step.info.program, scheme.trigger)
+    skips: Dict[Tuple[str, str], SkippedExchange] = {}
+    for ex in tc.step.exchanges:
+        key = ex.key
+        if key not in live:
+            skip = tc.skips.get(key)
+            if skip is None:
+                skip = tc.skips[key] = SkippedExchange(
+                    key, "trigger cannot match anything this exchange emits"
+                )
+            skips[key] = skip
+    if skips:
+        obs.incr("tactic.exchange.skipped", len(skips))
+    return skips
 
 
 def prove_trace_exchange(tc: TacticContext, prop: TraceProperty,
                          scheme: Scheme,
                          ex: Exchange) -> List[StepProof]:
-    """The inductive case for one exchange: a syntactic skip, or one
-    :class:`PathProof` per symbolic path (one storable fragment)."""
-    skip = syntactic_skip(tc, scheme, ex)
-    if skip is not None:
-        return [skip]
+    """The inductive case for one exchange the syntactic skip leaves:
+    one :class:`PathProof` per symbolic path (one storable fragment)."""
     step = tc.step
     obs.incr("tactic.exchange.expanded")
     steps: List[StepProof] = []

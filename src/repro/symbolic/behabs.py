@@ -160,10 +160,8 @@ class GenericStep:
         return dict(self.pre_env)
 
     def exchange(self, ctype: str, msg: str) -> Exchange:
-        for ex in self.exchanges:
-            if ex.key == (ctype, msg):
-                return ex
-        raise KeyError((ctype, msg))
+        index = self.info.program.effect_index
+        return self.exchanges[index.positions[(ctype, msg)]]
 
 
 def arbitrary_pre_env(info: ProgramInfo, init: InitSummary,

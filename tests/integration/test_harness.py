@@ -2,6 +2,7 @@
 paper's shape claims intact (the quantitative reproduction contract)."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,18 @@ from repro.prover import ProverOptions, Verifier
 class TestFigure6:
     @pytest.fixture(scope="class")
     def rows(self):
-        return figure6.run_figure6(ProverOptions(check_proofs=False))
+        """Each row with its best time over three runs, so one host
+        stall cannot make a sub-millisecond trace row outlast an NI
+        row."""
+        runs = [figure6.run_figure6(ProverOptions(check_proofs=False))
+                for _ in range(3)]
+        best = []
+        for same in zip(*runs):
+            assert len({(r.benchmark, r.property_name, r.proved)
+                        for r in same}) == 1
+            best.append(replace(
+                same[0], our_seconds=min(r.our_seconds for r in same)))
+        return best
 
     def test_41_rows(self, rows):
         assert len(rows) == 41

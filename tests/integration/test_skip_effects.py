@@ -1,19 +1,27 @@
-"""The §6.4 syntactic skips, decided from per-handler effect sets, must
-decide exactly what a walk of the handler body decided.
+"""The §6.4 syntactic skips, decided with one lookup in the program's
+effect index, must decide exactly what a walk of the handler body
+decided.
 
 The reference below is the walk the prover used before handlers carried
-their :class:`~repro.lang.ast.Effects`: ``handler_may_emit`` scanning the
-body for a matching send, spawn or call, ``assigned_vars`` collecting the
-assigned globals, and the bounded skip's scan for a spawn of the bounded
-type.  Every exchange of every program below is decided both ways
+their :class:`~repro.lang.ast.Effects`: a scan of the body for a
+matching send, spawn or call, a collection of the assigned globals, the
+bounded skip's scan for a spawn of the bounded type, and the exchange
+boundary's own rule (a Select matches the exchanges of its component
+type, a Recv the exchange of its type and message).  Every exchange of
+every program below is decided both ways
 
 * for the trace skip, against every pattern of the program's
   properties, every pattern of an invariant its verification tried, and
   one pattern per message name, component type and called function —
-  through the search (``syntactic_skip``) and the checker
-  (``trace_exchange_complaints``);
+  through :func:`~repro.prover.obligations.live_exchanges`, the search
+  (``syntactic_skips``) and the checker on both paths: the whole-proof
+  check of a store-less verify (``trace_proof_complaints``), and with a
+  store the batched skip check (``trace_skip_complaints``) and a stored
+  fragment's check (``trace_exchange_complaints``);
 * for the invariant skip, against every invariant spec its verification
-  tried, plus an absence spec per pattern and a guard per global;
+  tried, plus an absence spec per pattern and a guard per global —
+  through the live set the search and the checker share and the
+  checker's verdict on a derivation that skips every exchange;
 * for the bounded skip, against every bounded spec its verification
   tried, plus one per component type and global;
 
@@ -41,15 +49,24 @@ from repro.props.patterns import (
     SpawnPat,
 )
 from repro.prover import Verifier, engine, invariants
-from repro.prover.checker import trace_exchange_complaints
-from repro.prover.derivation import BoundedSpec, InvariantSpec, SkippedExchange
-from repro.prover.obligations import (
-    InstPattern,
-    Scheme,
-    boundary_may_match,
-    exchange_statically_silent,
+from repro.prover.checker import (
+    trace_exchange_complaints,
+    trace_proof_complaints,
+    trace_skip_complaints,
 )
-from repro.prover.trace_tactics import TacticContext, syntactic_skip
+from repro.prover.derivation import (
+    BaseClean,
+    BaseProof,
+    BoundedProof,
+    BoundedSpec,
+    CaseSyntacticSkip,
+    InvariantProof,
+    InvariantSpec,
+    SkippedExchange,
+    TracePropertyProof,
+)
+from repro.prover.obligations import InstPattern, Scheme, live_exchanges
+from repro.prover.trace_tactics import TacticContext, syntactic_skips
 from repro.systems import BENCHMARKS
 from tests.integration.test_prover_differential import (
     generate_program,
@@ -90,8 +107,16 @@ def ref_body(ex):
     return ex.handler.body if ex.handler is not None else ast.Nop()
 
 
+def ref_boundary_may_match(pattern, ex):
+    if isinstance(pattern, SelectPat):
+        return pattern.comp.ctype == ex.ctype
+    if isinstance(pattern, RecvPat):
+        return (pattern.comp.ctype, pattern.msg.name) == (ex.ctype, ex.msg)
+    return False
+
+
 def ref_trace_silent(pattern, ex):
-    return not (boundary_may_match(pattern, ex.ctype, ex.msg)
+    return not (ref_boundary_may_match(pattern, ex)
                 or ref_handler_may_emit(pattern, ref_body(ex)))
 
 
@@ -204,6 +229,45 @@ def patterns_of(spec, invariant_specs):
 # ---------------------------------------------------------------------------
 
 
+def skip_rejections(complaints, marker):
+    """The exchanges ``complaints`` reject a skip of, by key."""
+    return {tuple(complaint[len(marker):].split("=>"))
+            for complaint in complaints if complaint.startswith(marker)}
+
+
+def checker_trace_silent(step, pattern):
+    """The exchanges whose forged trace skip the checker accepts, on
+    each path: the whole-proof check of a derivation skipping every
+    exchange, the batched skip check and each stored fragment's check."""
+    keys = [ex.key for ex in step.exchanges]
+    every = frozenset(keys)
+    scheme = Scheme(pattern, pattern, "before")
+    skips = tuple(SkippedExchange(key, "forged") for key in keys)
+    proof = TracePropertyProof(
+        TraceProperty("forged", "Enables", pattern, pattern), scheme,
+        BaseProof(()), skips)
+    marker = "invalid syntactic skip of "
+    whole = every - skip_rejections(trace_proof_complaints(step, proof),
+                                    marker)
+    batched = every - skip_rejections(
+        trace_skip_complaints(step, scheme, keys), marker)
+    fragments = frozenset(
+        skip.exchange_key for skip, ex in zip(skips, step.exchanges)
+        if not trace_exchange_complaints(
+            step, scheme, ex, {(ex.key, None): skip}))
+    return {"whole proof": whole, "batched": batched,
+            "fragment": fragments}
+
+
+def checker_invariant_skippable(step, spec):
+    """The exchanges whose forged invariant skip the checker accepts."""
+    complaints = invariants.validate_invariant(step, InvariantProof(
+        spec, BaseClean(()),
+        tuple((ex.key, -1, CaseSyntacticSkip()) for ex in step.exchanges)))
+    return frozenset(ex.key for ex in step.exchanges) - skip_rejections(
+        complaints, "invalid syntactic skip at ")
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_skip_decisions_equal_the_reference_walks(corpus, monkeypatch):
     outcomes = Counter()
@@ -211,64 +275,73 @@ def test_skip_decisions_equal_the_reference_walks(corpus, monkeypatch):
         verifier, tried_invariants, tried_bounded = verify_recording(
             spec, monkeypatch)
         step = verifier.generic_step()
+        program = step.info.program
         tc = TacticContext(step=step, invariant_prover=None,
                            bounded_prover=None, skips={})
         patterns = patterns_of(spec, tried_invariants)
         pre_env = step.pre_env_dict()
-        for ex in step.exchanges:
-            where = f"{label} {ex.ctype}=>{ex.msg}"
-            for pattern in patterns:
-                expected = ref_trace_silent(pattern, ex)
-                outcomes["trace", expected] += 1
-                scheme = Scheme(pattern, pattern, "before")
-                forged = {(ex.key, None): SkippedExchange(ex.key, "forged")}
-                assert exchange_statically_silent(pattern, ex) \
-                    == expected, (where, pattern)
-                assert (syntactic_skip(tc, scheme, ex) is not None) \
-                    == expected, (where, pattern)
-                assert (not trace_exchange_complaints(
-                    step, scheme, ex, forged)) == expected, (where, pattern)
+        for pattern in patterns:
+            expected = frozenset(ex.key for ex in step.exchanges
+                                 if ref_trace_silent(pattern, ex))
+            outcomes["trace", True] += len(expected)
+            outcomes["trace", False] += len(step.exchanges) - len(expected)
+            where = (label, pattern)
+            live = live_exchanges(program, pattern)
+            assert live <= {ex.key for ex in step.exchanges}, where
+            assert {ex.key for ex in step.exchanges
+                    if ex.key not in live} == expected, where
+            scheme = Scheme(pattern, pattern, "before")
+            assert set(syntactic_skips(tc, scheme)) == expected, where
+            for path, accepted in checker_trace_silent(step,
+                                                       pattern).items():
+                assert accepted == expected, (path,) + where
 
-            for inv in tried_invariants:
-                guard_globals = invariants._guard_globals(step, inv)
-                expected = ref_invariant_skippable(inv, ex, guard_globals)
-                outcomes["invariant", expected] += 1
-                assert invariants._exchange_skippable(
-                    step, inv, ex, guard_globals) == expected, (where, inv)
-            for pattern in patterns:
-                inv = InvariantSpec("absence", (), InstPattern(pattern, ()),
-                                    ())
-                expected = ref_invariant_skippable(inv, ex, frozenset())
-                outcomes["invariant", expected] += 1
-                assert invariants._exchange_skippable(
-                    step, inv, ex, frozenset()) == expected, (where, inv)
-            history = InvariantSpec("history", (),
-                                    InstPattern(patterns[0], ()), ())
-            for name in pre_env:
-                expected = ref_invariant_skippable(history, ex,
-                                                   frozenset({name}))
-                outcomes["invariant", expected] += 1
-                assert invariants._exchange_skippable(
-                    step, history, ex, frozenset({name})) == expected, \
-                    (where, name)
+        invariant_specs = list(tried_invariants)
+        invariant_specs.extend(
+            InvariantSpec("absence", (), InstPattern(pattern, ()), ())
+            for pattern in patterns)
+        for name, term in pre_env.items():
+            invariant_specs.append(InvariantSpec(
+                "history", (term,), InstPattern(patterns[0], ()), ()))
+        for inv in invariant_specs:
+            guard_globals = invariants._guard_globals(step, inv)
+            expected = frozenset(
+                ex.key for ex in step.exchanges
+                if ref_invariant_skippable(inv, ex, guard_globals))
+            outcomes["invariant", True] += len(expected)
+            outcomes["invariant", False] += \
+                len(step.exchanges) - len(expected)
+            live = invariants._invariant_live(step, inv)
+            assert {ex.key for ex in step.exchanges
+                    if ex.key not in live} == expected, (label, inv)
+            assert checker_invariant_skippable(step, inv) == expected, \
+                (label, inv)
 
-            for bounded in tried_bounded:
-                bound_name = invariants._bound_var_name(step, bounded)
-                expected = ref_bounded_skippable(bounded.ctype, ex,
-                                                 bound_name)
-                outcomes["bounded", expected] += 1
-                assert invariants._bounded_skippable(
-                    step, bounded, ex, bound_name) == expected, \
-                    (where, bounded)
-            for ctype in [c.name for c in spec.program.components] \
-                    + ["NoSuchType"]:
-                for name, term in pre_env.items():
-                    bounded = BoundedSpec(ctype, 0, term)
-                    expected = ref_bounded_skippable(ctype, ex, name)
-                    outcomes["bounded", expected] += 1
-                    assert invariants._bounded_skippable(
-                        step, bounded, ex, name) == expected, \
-                        (where, ctype, name)
+        bounded_specs = [(bounded, invariants._bound_var_name(step, bounded))
+                         for bounded in tried_bounded]
+        for ctype in [c.name for c in program.components] + ["NoSuchType"]:
+            for name, term in pre_env.items():
+                bounded_specs.append((BoundedSpec(ctype, 0, term), name))
+        for bounded, bound_name in bounded_specs:
+            expected = frozenset(
+                ex.key for ex in step.exchanges
+                if ref_bounded_skippable(bounded.ctype, ex, bound_name))
+            outcomes["bounded", True] += len(expected)
+            outcomes["bounded", False] += \
+                len(step.exchanges) - len(expected)
+            live = invariants._bounded_live(step, bounded, bound_name)
+            assert {ex.key for ex in step.exchanges
+                    if ex.key not in live} == expected, (label, bounded)
+        for bounded in tried_bounded:
+            complaints = invariants.validate_bounded(step, BoundedProof(
+                bounded, tuple((ex.key, -1, "skip")
+                               for ex in step.exchanges)))
+            bound_name = invariants._bound_var_name(step, bounded)
+            assert frozenset(ex.key for ex in step.exchanges) \
+                - skip_rejections(complaints, "invalid bounded skip at ") \
+                == {ex.key for ex in step.exchanges
+                    if ref_bounded_skippable(bounded.ctype, ex,
+                                             bound_name)}, (label, bounded)
     # Every kind of decision went both ways somewhere in the corpus.
     for kind in ("trace", "invariant", "bounded"):
         assert outcomes[kind, True] and outcomes[kind, False], outcomes

@@ -23,6 +23,7 @@ from repro.prover.checker import (
     check_trace_proof,
     trace_exchange_complaints,
     trace_proof_complaints,
+    trace_skip_complaints,
 )
 from repro.prover.derivation import (
     BaseClean,
@@ -247,9 +248,10 @@ def nested_effect_step(effect, nest):
 class TestForgedNestedSkips:
     """A skip is valid only if no path of the handler has the effect,
     however deep in a branch it sits: the checker rejects a forged
-    trace skip, invariant skip and bounded skip of ``Hub => Go``, and
-    accepts the same forgery for ``Cell => Go``, which has no
-    handler."""
+    trace skip (one exchange's check, and the store path's batched check
+    of all of a property's skips), invariant skip and bounded skip of
+    ``Hub => Go``, and accepts the same forgery for ``Cell => Go``,
+    which has no handler."""
 
     PATTERNS = {
         "send": send_pat(comp_pat("Hub"), msg_pat("Ping", "_")),
@@ -275,6 +277,12 @@ class TestForgedNestedSkips:
                     {(ex.key, None): SkippedExchange(ex.key, "forged")})
                 if complaints:
                     rejected.append(("trace", ex.key))
+            complaints = trace_skip_complaints(
+                step, scheme, [ex.key for ex in forged])
+            for ex in forged:
+                if f"invalid syntactic skip of {ex.ctype}=>{ex.msg}" \
+                        in complaints:
+                    rejected.append(("batched", ex.key))
             invariant = InvariantSpec("absence", (),
                                       InstPattern(pattern, ()), ())
         else:
@@ -298,8 +306,8 @@ class TestForgedNestedSkips:
                         in complaints:
                     rejected.append(("bounded", ex.key))
 
-        kinds = {"send": ["trace", "invariant"],
-                 "spawn": ["trace", "invariant", "bounded"],
-                 "call": ["trace", "invariant"],
+        kinds = {"send": ["trace", "batched", "invariant"],
+                 "spawn": ["trace", "batched", "invariant", "bounded"],
+                 "call": ["trace", "batched", "invariant"],
                  "assign": ["invariant", "bounded"]}[effect]
         assert rejected == [(kind, ("Hub", "Go")) for kind in kinds]

@@ -3,17 +3,13 @@ syntactic skip check."""
 
 import pytest
 
-from repro.lang import ValidationError, ast
-from repro.lang.builder import lit, name, send, spawn, block, call
+from repro.lang import STR, ValidationError
+from repro.lang.builder import (
+    ProgramBuilder, block, call, lit, name, send, spawn,
+)
 from repro.props import TraceProperty, comp_pat, msg_pat, recv_pat, send_pat
 from repro.props.patterns import CallPat, PWild, SpawnPat, SelectPat
-from repro.prover.obligations import (
-    boundary_may_match,
-    exchange_statically_silent,
-    handler_may_emit,
-    occurrences,
-    scheme_of,
-)
+from repro.prover.obligations import live_exchanges, occurrences, scheme_of
 from repro.symbolic.behabs import generic_step
 
 
@@ -66,52 +62,92 @@ class TestOccurrences:
         assert [o.index for o in occs] == [1]
 
 
+def one_handler(body):
+    """An unvalidated program whose one handler, ``Hub => Go``, runs
+    ``body``; it has the exchanges (``Hub``|``Cell``, ``Go``|``Auth``)."""
+    b = ProgramBuilder("k")
+    b.component("Hub", "hub.py")
+    b.component("Cell", "cell.py")
+    b.message("Go", STR)
+    b.message("Auth", STR)
+    b.handler("Hub", "Go", ["x"], body)
+    return b.build()
+
+
 class TestStaticChecks:
+    """The syntactic skip's lookup: :func:`live_exchanges` names the
+    exchanges that can produce what a pattern matches."""
+
+    GO = frozenset({("Hub", "Go")})
+
     def test_handler_may_emit_send(self):
-        body = ast.effects_of(block(send(name("P"), "ReqTerm", lit("u"))))
-        assert handler_may_emit(
-            send_pat(comp_pat("Terminal"), msg_pat("ReqTerm", "_")), body
-        )
-        assert not handler_may_emit(
-            send_pat(comp_pat("Terminal"), msg_pat("Auth", "_")), body
+        program = one_handler(block(send(name("P"), "ReqTerm", lit("u"))))
+        assert live_exchanges(
+            program, send_pat(comp_pat("Terminal"), msg_pat("ReqTerm", "_"))
+        ) == self.GO
+        assert not live_exchanges(
+            program, send_pat(comp_pat("Terminal"), msg_pat("Auth", "_"))
         )
 
     def test_handler_may_emit_spawn(self):
-        body = ast.effects_of(block(spawn("c", "Cell", lit("k"))))
-        assert handler_may_emit(SpawnPat(comp_pat("Cell", "_")), body)
-        assert not handler_may_emit(SpawnPat(comp_pat("Tab", "_")), body)
+        program = one_handler(block(spawn("c", "Cell", lit("k"))))
+        assert live_exchanges(program, SpawnPat(comp_pat("Cell", "_"))) \
+            == self.GO
+        assert not live_exchanges(program, SpawnPat(comp_pat("Tab", "_")))
 
     def test_handler_may_emit_call(self):
-        body = ast.effects_of(block(call("r", "policy", lit("h"))))
-        assert handler_may_emit(CallPat("policy", (PWild(),)), body)
-        assert not handler_may_emit(CallPat("other", (PWild(),)), body)
+        program = one_handler(block(call("r", "policy", lit("h"))))
+        assert live_exchanges(program, CallPat("policy", (PWild(),))) \
+            == self.GO
+        assert not live_exchanges(program, CallPat("other", (PWild(),)))
 
     def test_recv_patterns_never_emitted_by_handlers(self):
-        body = ast.effects_of(block(send(name("P"), "Auth", lit("u"))))
-        assert not handler_may_emit(
-            recv_pat(comp_pat("Password"), msg_pat("Auth", "_")), body
+        # The handler sends Auth; a Recv of Auth is only ever produced
+        # by the boundary of the (Cell, Auth) exchange.
+        program = one_handler(block(send(name("P"), "Auth", lit("u"))))
+        assert live_exchanges(
+            program, recv_pat(comp_pat("Cell"), msg_pat("Auth", "_"))
+        ) == {("Cell", "Auth")}
+        assert not live_exchanges(
+            program, recv_pat(comp_pat("Password"), msg_pat("Auth", "_"))
         )
 
-    def test_boundary_matching(self):
+    def test_boundary_matching(self, ssh_info):
+        program = ssh_info.program
         recv = recv_pat(comp_pat("Password"), msg_pat("Auth", "_"))
-        assert boundary_may_match(recv, "Password", "Auth")
-        assert not boundary_may_match(recv, "Password", "ReqAuth")
-        assert not boundary_may_match(recv, "Terminal", "Auth")
+        live = live_exchanges(program, recv)
+        assert ("Password", "Auth") in live
+        assert ("Password", "ReqAuth") not in live
+        assert ("Terminal", "Auth") not in live
         select = SelectPat(comp_pat("Password"))
-        assert boundary_may_match(select, "Password", "Anything")
+        assert live_exchanges(program, select) == {
+            ("Password", m.name) for m in program.messages
+        }
 
     def test_exchange_statically_silent(self, ssh_info):
         step = generic_step(ssh_info)
+        program = ssh_info.program
         trigger = send_pat(comp_pat("Terminal"), msg_pat("ReqTerm", "?u"))
-        assert not exchange_statically_silent(
-            trigger, step.exchange("Connection", "ReqTerm")
-        )
-        assert exchange_statically_silent(
-            trigger, step.exchange("Connection", "ReqAuth")
-        )
+        live = live_exchanges(program, trigger)
+        assert step.exchange("Connection", "ReqTerm").key in live
+        assert step.exchange("Connection", "ReqAuth").key not in live
         # Nop exchanges are silent unless the boundary matches.
         nop = step.exchange("Terminal", "Auth")
         assert nop.handler is None
-        assert exchange_statically_silent(trigger, nop)
+        assert nop.key not in live
         recv_trigger = recv_pat(comp_pat("Terminal"), msg_pat("Auth", "?u"))
-        assert not exchange_statically_silent(recv_trigger, nop)
+        assert nop.key in live_exchanges(program, recv_trigger)
+
+    def test_index_maps_each_exchange_to_its_handler_and_step_position(
+            self, ssh_info):
+        program = ssh_info.program
+        step = generic_step(ssh_info)
+        index = program.effect_index
+        assert list(index.positions) == list(program.exchange_keys())
+        for ex in step.exchanges:
+            assert step.exchanges[index.positions[ex.key]] is ex
+            assert step.exchange(*ex.key) is ex
+            assert program.handler_for(*ex.key) is ex.handler
+        assert {h.key: h for h in program.handlers} == index.handlers
+        with pytest.raises(KeyError):
+            step.exchange("Password", "Nope")
