@@ -41,6 +41,7 @@ from typing import List, Optional
 from . import obs
 from .frontend import parse_program, pretty
 from .lang.errors import ReflexError
+from .obs import export
 from .prover import ProverOptions, VerificationReport, Verifier
 
 
@@ -134,8 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 telemetry.metrics.gauge(name, ratio)
         notes = sys.stderr if args.json else sys.stdout
         if args.trace_out:
-            obs.export.write_chrome_trace(args.trace_out,
-                                          telemetry.to_dict())
+            export.write_chrome_trace(args.trace_out, telemetry.to_dict())
             print(f"trace written to {args.trace_out} "
                   f"(load it at ui.perfetto.dev)", file=notes)
         if args.events_out:
@@ -434,7 +434,7 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    payload = obs.export.load_run(args.run)
+    payload = export.load_run(args.run)
     telemetry = payload.get("telemetry", payload)
     if not isinstance(telemetry, dict) or not any(
             key in telemetry for key in ("counters", "spans", "trace")):
@@ -445,10 +445,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(obs.export.render_report(payload))
+    print(export.render_report(payload))
     trace = telemetry.get("trace")
     if trace:
-        complaints = obs.export.validate_trace_tree(trace)
+        complaints = export.validate_trace_tree(trace)
         if complaints:
             print(f"\ntrace tree malformed "
                   f"({len(complaints)} complaint(s)):", file=sys.stderr)

@@ -15,11 +15,14 @@ modules under the corresponding roles.  The mapping:
 
 * *syntax and semantics* → ``repro.lang`` + ``repro.frontend`` +
   ``repro.runtime`` (minus the world, counted as primitives),
-* *once-and-for-all proofs* → ``repro.symbolic`` (the machinery whose
-  correctness our trust rests on) + the trusted checker,
+* *once-and-for-all proofs* → the trusted core: every ``repro.symbolic``
+  and ``repro.prover`` module in the checker's module-level import
+  closure (:func:`import_closure`, the same closure the trust-line test
+  pins), plus ``repro.symbolic.compile``, which builds every step the
+  checker replays,
 * *non-interference infrastructure* → ``repro.prover.ni``,
-* *tactics* → the untrusted search (obligations, invariants, tactics,
-  engine, derivations),
+* *tactics* → the untrusted search (invariants, tactics, engine), and
+  any of obligations and derivations the closure does not hold,
 * *primitives* → ``repro.runtime.world`` + ``repro.runtime.components``.
 
 The reproduced shape: the per-role proportions — semantics and the
@@ -30,9 +33,10 @@ properties needed a single line of manual proof.
 
 from __future__ import annotations
 
-import inspect
+import ast
 from dataclasses import dataclass
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set
 
 PAPER_EFFORT = {
     "syntax and semantics": 2827,
@@ -43,55 +47,120 @@ PAPER_EFFORT = {
 }
 
 
-def _module_loc(module) -> int:
-    source = inspect.getsource(module)
+#: The module whose import closure is the trusted base.
+CHECKER = "repro.prover.checker"
+
+_PACKAGE = Path(__file__).resolve().parents[1]
+
+
+def _source(module: str) -> Optional[Path]:
+    """The source file of a ``repro`` module, or None if there is none."""
+    top, *rest = module.split(".")
+    if top != "repro":
+        return None
+    base = _PACKAGE.joinpath(*rest)
+    if (base / "__init__.py").is_file():
+        return base / "__init__.py"
+    path = base.with_suffix(".py")
+    return path if path.is_file() else None
+
+
+def _runs_at_import(body) -> Iterator[ast.stmt]:
+    """The import statements of ``body`` that run when the module is
+    imported: not those inside functions or under ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" in (
+                getattr(node.test, "id", None),
+                getattr(node.test, "attr", None)):
+            yield from _runs_at_import(node.orelse)
+        else:
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _runs_at_import(getattr(node, field, ()))
+
+
+def _imports(module: str, path: Path) -> Set[str]:
+    """The ``repro`` modules that ``module`` imports at module level.
+
+    ``from pkg import name`` adds ``pkg.name`` when that is a module, and
+    ``pkg`` itself only when some imported name is not a submodule."""
+    package = module if path.name == "__init__.py" \
+        else module.rpartition(".")[0]
+    found: Set[str] = set()
+    for node in _runs_at_import(ast.parse(path.read_text()).body):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+            continue
+        base = node.module or ""
+        if node.level:
+            parts = package.split(".")
+            anchor = parts[:len(parts) + 1 - node.level]
+            base = ".".join(anchor + ([base] if base else []))
+        subs = [f"{base}.{alias.name}" for alias in node.names]
+        found.update(sub for sub in subs if _source(sub))
+        if not all(_source(sub) for sub in subs):
+            found.add(base)
+    return {name for name in found if _source(name)}
+
+
+def import_closure(root: str = CHECKER) -> Dict[str, Path]:
+    """Every ``repro`` module that importing ``root`` loads through
+    module-level imports, computed from the source (module name → file).
+
+    Parent packages are not added implicitly: ``from ..lang import ast``
+    adds ``repro.lang.ast`` alone, ``from .. import obs`` adds
+    ``repro.obs``."""
+    closure: Dict[str, Path] = {}
+    pending = [root]
+    while pending:
+        module = pending.pop()
+        if module not in closure:
+            closure[module] = _source(module)
+            pending.extend(_imports(module, closure[module]))
+    return dict(sorted(closure.items()))
+
+
+def trusted_core() -> List[str]:
+    """The modules of the once-and-for-all row: the checker's closure
+    within ``repro.symbolic`` and ``repro.prover``, plus
+    ``repro.symbolic.compile`` — ``Verifier._build_step`` builds every
+    step the checker replays with it, so it is trusted until the step is
+    built without it."""
+    closure = [name for name in import_closure()
+               if name.startswith(("repro.symbolic.", "repro.prover."))]
+    return sorted({*closure, "repro.symbolic.compile"})
+
+
+def _module_loc(module: str) -> int:
+    """Non-blank, non-comment lines of a module's source file."""
     return sum(
-        1 for line in source.splitlines()
+        1 for line in _source(module).read_text().splitlines()
         if line.strip() and not line.strip().startswith("#")
     )
 
 
-def _role_modules() -> Dict[str, List]:
-    from .. import frontend, lang, props, prover, runtime, symbolic
-    from ..frontend import lexer, parser, pretty
-    from ..lang import ast, builder, errors, types, validate, values
-    from ..props import patterns, spec, tracepreds
-    from ..prover import (
-        checker as prover_checker,
-        derivation,
-        engine,
-        invariants,
-        ni,
-        obligations,
-        trace_tactics,
-    )
-    from ..runtime import actions, components, interpreter, trace, world
-    from ..symbolic import (
-        behabs,
-        expr,
-        seval,
-        simplify,
-        solver,
-        templates,
-        unify,
-    )
-
+def _role_modules() -> Dict[str, List[str]]:
+    trusted = trusted_core()
+    tactics = ["obligations", "derivation", "invariants", "trace_tactics",
+               "engine"]
     return {
-        "syntax and semantics": [
-            errors, types, values, ast, validate, builder,
-            lexer, parser, pretty,
-            actions, trace, interpreter,
-            patterns, tracepreds, spec,
-        ],
-        "once-and-for-all proofs": [
-            expr, simplify, solver, templates, unify, seval, behabs,
-            prover_checker,
-        ],
-        "non-interference infrastructure": [ni],
+        "syntax and semantics": [f"repro.{name}" for name in (
+            "lang.errors", "lang.types", "lang.values", "lang.ast",
+            "lang.validate", "lang.builder",
+            "frontend.lexer", "frontend.parser", "frontend.pretty",
+            "runtime.actions", "runtime.trace", "runtime.interpreter",
+            "props.patterns", "props.tracepreds", "props.spec",
+        )],
+        "once-and-for-all proofs": trusted,
+        "non-interference infrastructure": ["repro.prover.ni"],
         "proof-automation tactics": [
-            obligations, derivation, invariants, trace_tactics, engine,
+            f"repro.prover.{name}" for name in tactics
+            if f"repro.prover.{name}" not in trusted
         ],
-        "primitives": [world, components],
+        "primitives": ["repro.runtime.world", "repro.runtime.components"],
     }
 
 

@@ -21,10 +21,15 @@ Typical use::
 
 A fully instrumented run enables the subsystems explicitly::
 
+    from repro.obs import export
+
     sink = obs.Telemetry(trace=True, metrics=True, events=True)
     with obs.use(sink):
         verifier.verify_all()
-    obs.export.write_chrome_trace("t.json", sink.to_dict())
+    export.write_chrome_trace("t.json", sink.to_dict())
+
+The package does not load the exporters (:mod:`repro.obs.export`) or the
+time-series sampler (:mod:`repro.obs.timeseries`); import them directly.
 
 A run has one sink; nothing is exported or merged between sinks.  The
 serve daemon, too, records every verify group straight into its own
@@ -33,10 +38,8 @@ sink, with the group's submit ids as :attr:`Telemetry.tags`.  See
 contract, the event schema, and the ``repro report`` walkthrough.
 """
 
-from . import export
 from .events import Event, EventLog, read_jsonl
 from .metrics import Histogram, MetricsRegistry
-from .timeseries import Sampler, TimeSeries, Window, registry_snapshot
 from .telemetry import (
     Span,
     Telemetry,
@@ -57,16 +60,12 @@ __all__ = [
     "EventLog",
     "Histogram",
     "MetricsRegistry",
-    "Sampler",
     "Span",
     "Telemetry",
-    "TimeSeries",
     "TraceSpan",
     "Tracer",
-    "Window",
     "active",
     "event",
-    "export",
     "flush_events",
     "gauge",
     "incr",
@@ -74,7 +73,6 @@ __all__ = [
     "new_run_id",
     "observe",
     "read_jsonl",
-    "registry_snapshot",
     "span",
     "use",
 ]

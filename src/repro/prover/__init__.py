@@ -4,10 +4,15 @@ non-interference checks, the staged verification pipeline (plan → search
 """
 
 from .checker import (
+    Labeling,
+    build_labeling,
+    check_ni_base,
     check_ni_proof,
     check_trace_proof,
     ni_proof_complaints,
     trace_proof_complaints,
+    validate_invariant,
+    validate_justification,
 )
 from .counterexample import CandidateCounterexample, find_model
 from .derivation import (
@@ -26,13 +31,10 @@ from .engine import (
     verify,
 )
 from .incremental import InvalidationMap, changed_parts, fragment_digests
-from .invariants import generalize, prove_invariant, validate_invariant
+from .invariants import generalize, prove_invariant
 from .ni import (
-    Labeling,
     NIProof,
     PathVerdict,
-    build_labeling,
-    check_ni_base,
     check_ni_exchange,
     prove_noninterference,
 )
@@ -45,7 +47,7 @@ from .proofstore import (
     fingerprint,
     obligation_key,
 )
-from .trace_tactics import prove_trace_property, validate_justification
+from .trace_tactics import prove_trace_property
 
 __all__ = [
     "check_ni_proof",

@@ -58,6 +58,9 @@ from ..symbolic import compile as symcompile
 from ..symbolic import solver as symsolver
 from ..symbolic.behabs import GenericStep, generic_step
 from .checker import (
+    Labeling,
+    build_labeling,
+    check_ni_base,
     check_ni_proof,
     check_trace_proof,
     record_step_proofs,
@@ -76,14 +79,7 @@ from .derivation import (
     TracePropertyProof,
 )
 from .invariants import prove_bounded, prove_invariant
-from .ni import (
-    Labeling,
-    NIProof,
-    PathVerdict,
-    build_labeling,
-    check_ni_base,
-    check_ni_exchange,
-)
+from .ni import NIProof, PathVerdict, check_ni_exchange
 from .obligations import scheme_of
 from .pipeline import Obligation, plan_property
 from .proofstore import (
@@ -347,15 +343,15 @@ class KeyTable:
             fields = self._rendered_fields()
             shared = (program.name, fields["components"],
                       fields["messages"], fields["init"])
-            handlers: Dict[Tuple[str, str], Rendered] = {}
-            for handler, text in zip(program.handlers, self._handlers):
-                handlers.setdefault(handler.key, text)  # handler_for's pick
+            texts = {id(handler): text for handler, text
+                     in zip(program.handlers, self._handlers)}
             slices: Dict[Part, str] = {
                 None: digest(("scope", "base") + shared),
             }
             for part in program.exchange_keys():
-                slices[part] = digest(("scope",) + part + shared
-                                      + (handlers.get(part),))
+                handler = program.handler_for(*part)
+                text = None if handler is None else texts[id(handler)]
+                slices[part] = digest(("scope",) + part + shared + (text,))
             self._slices = slices
         return self._slices
 

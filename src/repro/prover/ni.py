@@ -38,31 +38,25 @@ Base condition (implicit in the paper's setting, enforced here): the Init
 state must give high variables and high spawns deterministic values — an
 Init whose external ``call`` results flow into high state would break the
 induction at its root.
+
+The labeling (:class:`~repro.prover.checker.Labeling`), the base condition
+(:func:`~repro.prover.checker.check_ni_base`) and the sender-label case
+split (:func:`~repro.prover.checker.ni_case_cubes`) live in the checker,
+which re-derives the base condition and the coverage of a record's
+verdicts; this module imports them and checks NIlo/NIhi path by path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .. import obs
-from ..lang import types as ty
-from ..lang.errors import ProofSearchFailure, ValidationError
+from ..lang.errors import ProofSearchFailure
 from ..props.spec import NonInterference
 from ..symbolic.behabs import Exchange, GenericStep
-from ..symbolic.expr import (
-    S_FALSE,
-    SComp,
-    SOp,
-    SVar,
-    Term,
-    free_vars,
-    sand,
-    snot,
-    sor,
-)
-from ..symbolic.seval import FoundFact, MissingFact, SymPath, eval_sexpr
-from ..symbolic.simplify import dnf, simplify
+from ..symbolic.expr import SComp, SOp, SVar, Term, free_vars, snot
+from ..symbolic.seval import FoundFact, SymPath, eval_sexpr
 from ..symbolic.solver import (
     Facts,
     entail_batch,
@@ -70,57 +64,7 @@ from ..symbolic.solver import (
     prefix_enabled,
 )
 from ..symbolic.templates import TSend, TSpawn
-from ..symbolic.unify import match_comp_term
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """θc / θv made executable over terms."""
-
-    prop: NonInterference
-    params: Tuple[Tuple[str, SVar], ...]
-
-    def param_map(self) -> Dict[str, Term]:
-        return dict(self.params)
-
-    def high_condition(self, comp: SComp) -> Term:
-        """A boolean term: the component is labeled high."""
-        cases: List[Term] = []
-        binding = self.param_map()
-        for pattern in self.prop.high_patterns:
-            m = match_comp_term(pattern, comp, binding)
-            if m is None:
-                continue
-            cases.append(sand(*m.constraints))
-        return simplify(sor(*cases)) if cases else S_FALSE
-
-    def is_high_var(self, name: str) -> bool:
-        return name in self.prop.high_vars
-
-
-def build_labeling(step: GenericStep, prop: NonInterference) -> Labeling:
-    """Materialize the labeling parameters with their inferred types."""
-    param_types: Dict[str, ty.Type] = {}
-    for pattern in prop.high_patterns:
-        decl = step.info.comp_table[pattern.ctype]
-        if pattern.config is None:
-            continue
-        from ..props.patterns import PVar
-
-        for fp, cf in zip(pattern.config, decl.config):
-            if isinstance(fp, PVar):
-                prior = param_types.get(fp.name)
-                if prior is not None and prior != cf.type:
-                    raise ValidationError(
-                        f"labeling parameter {fp.name} used at types "
-                        f"{prior} and {cf.type}"
-                    )
-                param_types[fp.name] = cf.type
-    params = tuple(
-        (name, SVar(f"ni:{name}", param_types.get(name, ty.STR), "param"))
-        for name in prop.params
-    )
-    return Labeling(prop, params)
+from .checker import Labeling, build_labeling, check_ni_base, ni_case_cubes
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +109,10 @@ def prove_noninterference(step: GenericStep,
     :class:`ProofSearchFailure` on the first violation.
 
     This is the serial composition of the pipeline's NI obligations: the
-    base condition (:func:`check_ni_base`) followed by every exchange
-    (:func:`check_ni_exchange`) in program order.  The engine calls the
-    pieces directly so each obligation can be cached on its own and the
-    run's deadline checked between them.
+    base condition (:func:`~repro.prover.checker.check_ni_base`) followed
+    by every exchange (:func:`check_ni_exchange`) in program order.  The
+    engine calls the pieces directly so each obligation can be cached on
+    its own and the run's deadline checked between them.
     """
     labeling = build_labeling(step, prop)
     base_notes = check_ni_base(step, labeling)
@@ -176,66 +120,6 @@ def prove_noninterference(step: GenericStep,
     for ex in step.exchanges:
         verdicts.extend(check_ni_exchange(step, labeling, ex))
     return NIProof(prop, tuple(base_notes), tuple(verdicts))
-
-
-def check_ni_base(step: GenericStep, labeling: Labeling) -> List[str]:
-    """Init must determine high variables and high spawns."""
-    notes: List[str] = []
-    init_env = step.init.env_dict()
-    for name in sorted(labeling.prop.high_vars):
-        term = init_env[name]
-        nondet = [v for v in free_vars(term) if v.origin == "init_call"]
-        if nondet:
-            raise ProofSearchFailure(
-                f"{labeling.prop.name}: high variable {name} is initialized "
-                f"from non-deterministic call result(s) "
-                f"{[str(v) for v in nondet]}"
-            )
-        notes.append(f"high var {name} deterministic at Init")
-    for comp in step.init.comps:
-        cond = labeling.high_condition(comp)
-        if cond == S_FALSE:
-            continue
-        nondet = [v for v in free_vars(comp) if v.origin == "init_call"]
-        if nondet:
-            raise ProofSearchFailure(
-                f"{labeling.prop.name}: possibly-high Init component "
-                f"{comp} has non-deterministic configuration"
-            )
-        notes.append(f"init component {comp.label} deterministic")
-    return notes
-
-
-def ni_case_cubes(labeling: Labeling,
-                  ex: Exchange) -> List[Tuple[str, Tuple[Term, ...]]]:
-    """The sender-label case split of one exchange: ``(case, cube)``
-    pairs, low cases first, in the canonical order shared by the search
-    (:func:`check_ni_exchange`) and the coverage validation
-    (:func:`repro.prover.checker.ni_proof_complaints`)."""
-    high_cond = labeling.high_condition(ex.sender)
-    low_cond = simplify(snot(high_cond))
-    cases: List[Tuple[str, Tuple[Term, ...]]] = []
-    for case, condition in (("low", low_cond), ("high", high_cond)):
-        for cube in dnf(condition):
-            cases.append((case, cube))
-    return cases
-
-
-def feasible_ni_triples(labeling: Labeling,
-                        ex: Exchange) -> List[Tuple[Tuple[str, str],
-                                                    int, str]]:
-    """Every ``(exchange key, path index, case)`` triple of ``ex`` whose
-    path condition is consistent with its sender-label cube — exactly the
-    triples :func:`check_ni_exchange` emits verdicts for, in the same
-    order."""
-    triples: List[Tuple[Tuple[str, str], int, str]] = []
-    for case, cube in ni_case_cubes(labeling, ex):
-        for path_index, path in enumerate(ex.paths):
-            facts = extend_facts(path.cond, cube)
-            if facts.inconsistent():
-                continue
-            triples.append((ex.key, path_index, case))
-    return triples
 
 
 def check_ni_exchange(step: GenericStep, labeling: Labeling,

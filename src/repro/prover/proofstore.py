@@ -238,8 +238,8 @@ def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
       (and re-proved when rejected);
     * for an NI obligation it *is* a soundness boundary: the checker
       re-validates only the coverage of NI verdicts, never their
-      content.  It holds because ``check_ni_base`` and
-      ``check_ni_exchange`` read only the slice (component and message
+      content.  It holds because the checker's ``check_ni_base`` and
+      the search's ``check_ni_exchange`` read only the slice (component and message
       declarations, global types, the pre-state and Init, and the one
       handler), the property and the options, and because
       :func:`~repro.symbolic.behabs.generic_step` names each exchange's

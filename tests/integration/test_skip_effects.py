@@ -48,7 +48,7 @@ from repro.props.patterns import (
     SendPat,
     SpawnPat,
 )
-from repro.prover import Verifier, engine, invariants
+from repro.prover import Verifier, checker, engine, invariants
 from repro.prover.checker import (
     trace_exchange_complaints,
     trace_proof_complaints,
@@ -261,7 +261,7 @@ def checker_trace_silent(step, pattern):
 
 def checker_invariant_skippable(step, spec):
     """The exchanges whose forged invariant skip the checker accepts."""
-    complaints = invariants.validate_invariant(step, InvariantProof(
+    complaints = checker.validate_invariant(step, InvariantProof(
         spec, BaseClean(()),
         tuple((ex.key, -1, CaseSyntacticSkip()) for ex in step.exchanges)))
     return frozenset(ex.key for ex in step.exchanges) - skip_rejections(
@@ -304,20 +304,20 @@ def test_skip_decisions_equal_the_reference_walks(corpus, monkeypatch):
             invariant_specs.append(InvariantSpec(
                 "history", (term,), InstPattern(patterns[0], ()), ()))
         for inv in invariant_specs:
-            guard_globals = invariants._guard_globals(step, inv)
+            guard_globals = checker._guard_globals(step, inv)
             expected = frozenset(
                 ex.key for ex in step.exchanges
                 if ref_invariant_skippable(inv, ex, guard_globals))
             outcomes["invariant", True] += len(expected)
             outcomes["invariant", False] += \
                 len(step.exchanges) - len(expected)
-            live = invariants._invariant_live(step, inv)
+            live = checker.invariant_live(step, inv)
             assert {ex.key for ex in step.exchanges
                     if ex.key not in live} == expected, (label, inv)
             assert checker_invariant_skippable(step, inv) == expected, \
                 (label, inv)
 
-        bounded_specs = [(bounded, invariants._bound_var_name(step, bounded))
+        bounded_specs = [(bounded, checker.bound_var_name(step, bounded))
                          for bounded in tried_bounded]
         for ctype in [c.name for c in program.components] + ["NoSuchType"]:
             for name, term in pre_env.items():
@@ -329,14 +329,14 @@ def test_skip_decisions_equal_the_reference_walks(corpus, monkeypatch):
             outcomes["bounded", True] += len(expected)
             outcomes["bounded", False] += \
                 len(step.exchanges) - len(expected)
-            live = invariants._bounded_live(step, bounded, bound_name)
+            live = checker.bounded_live(step, bounded, bound_name)
             assert {ex.key for ex in step.exchanges
                     if ex.key not in live} == expected, (label, bounded)
         for bounded in tried_bounded:
-            complaints = invariants.validate_bounded(step, BoundedProof(
+            complaints = checker.validate_bounded(step, BoundedProof(
                 bounded, tuple((ex.key, -1, "skip")
                                for ex in step.exchanges)))
-            bound_name = invariants._bound_var_name(step, bounded)
+            bound_name = checker.bound_var_name(step, bounded)
             assert frozenset(ex.key for ex in step.exchanges) \
                 - skip_rejections(complaints, "invalid bounded skip at ") \
                 == {ex.key for ex in step.exchanges

@@ -24,6 +24,8 @@ from repro.prover.checker import (
     trace_exchange_complaints,
     trace_proof_complaints,
     trace_skip_complaints,
+    validate_bounded,
+    validate_invariant,
 )
 from repro.prover.derivation import (
     BaseClean,
@@ -40,7 +42,6 @@ from repro.prover.derivation import (
     SkippedExchange,
     Vacuous,
 )
-from repro.prover.invariants import validate_bounded, validate_invariant
 from repro.prover.obligations import InstPattern, Scheme
 from repro.symbolic.behabs import generic_step
 

@@ -19,12 +19,11 @@ from repro.prover.derivation import (
     CaseSyntacticSkip,
     InvariantSpec,
 )
+from repro.prover.checker import validate_bounded, validate_invariant
 from repro.prover.invariants import (
     generalize,
     prove_bounded,
     prove_invariant,
-    validate_bounded,
-    validate_invariant,
 )
 from repro.prover.obligations import InstPattern
 from repro.symbolic.behabs import generic_step
@@ -38,7 +37,7 @@ def ssh_step():
 
 def auth_invariant_spec(step):
     """The SSH history invariant, built the way the tactic builds it."""
-    from repro.prover.trace_tactics import OccurrenceContext
+    from repro.prover.checker import OccurrenceContext
     from repro.prover.obligations import occurrences, scheme_of
     from repro.props import TraceProperty
 

@@ -1,0 +1,145 @@
+"""The trust line: the checker imports no search.
+
+The checker's module-level import closure is the reproduction's trusted
+base (DESIGN.md §2, §4).  It is computed from the source by
+:func:`repro.harness.effort.import_closure`, the same function the §6.5
+table reads: it follows every ``import`` and ``from … import`` a module
+runs at import time, but not those inside functions or under
+``if TYPE_CHECKING:``.  These tests hold the line: the closure stays
+inside a pinned allowlist, reaches no search or plumbing module, and
+nothing in ``repro.prover`` hides an import of the checker or of the
+search inside a function.
+"""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+from repro.harness.effort import CHECKER, import_closure
+from repro.prover import invariants
+from repro.prover.checker import validate_invariant
+from repro.prover.derivation import CaseEstablished, CaseInfeasible
+from repro.symbolic.behabs import generic_step
+from tests.conftest import build_ssh_program
+from tests.prover.test_invariants import auth_invariant_spec
+
+#: The checker's closure.  A module added here is trusted code: add one
+#: only on purpose.
+ALLOWED = frozenset({
+    "repro.lang.ast",
+    "repro.lang.errors",
+    "repro.lang.types",
+    "repro.lang.validate",
+    "repro.lang.values",
+    "repro.obs",
+    "repro.obs.events",
+    "repro.obs.metrics",
+    "repro.obs.telemetry",
+    "repro.obs.trace",
+    "repro.props.patterns",
+    "repro.props.spec",
+    "repro.props.tracepreds",
+    "repro.prover.checker",
+    "repro.prover.derivation",
+    "repro.prover.obligations",
+    "repro.runtime.actions",
+    "repro.runtime.components",
+    "repro.runtime.interpreter",
+    "repro.runtime.trace",
+    "repro.runtime.world",
+    "repro.symbolic.behabs",
+    "repro.symbolic.cache",
+    "repro.symbolic.expr",
+    "repro.symbolic.seval",
+    "repro.symbolic.simplify",
+    "repro.symbolic.solver",
+    "repro.symbolic.templates",
+    "repro.symbolic.unify",
+})
+
+#: The search, the pipeline's plumbing and presentation: untrusted.
+SEARCH = frozenset(f"repro.prover.{name}" for name in (
+    "trace_tactics", "invariants", "ni", "engine", "pipeline",
+    "proofstore", "incremental", "counterexample", "explain",
+))
+
+#: The closure's size before the validators moved into the checker.
+LINES_BEFORE = 10_885
+
+PROVER = Path(__file__).resolve().parents[2] / "src" / "repro" / "prover"
+
+
+def test_the_closure_stays_inside_the_allowlist():
+    added = sorted(set(import_closure()) - ALLOWED)
+    assert not added, f"the checker's closure grew: {added}"
+
+
+def test_the_closure_holds_no_search_or_plumbing():
+    closure = set(import_closure())
+    assert CHECKER in closure
+    assert not closure & SEARCH
+    assert not {name for name in closure
+                if name == "repro.serve" or name.startswith("repro.serve.")}
+    assert not closure & {"repro.obs.export", "repro.obs.timeseries"}
+
+
+def test_the_closure_is_smaller_than_before_the_move():
+    lines = sum(len(path.read_text().splitlines())
+                for path in import_closure().values())
+    assert lines < LINES_BEFORE
+
+
+def test_the_closure_rule():
+    # ``from .. import obs`` adds the package; ``from ..lang import ast``
+    # adds the submodule alone, not ``repro.lang``'s ``__init__``.
+    closure = import_closure("repro.symbolic.expr")
+    assert "repro.obs" in closure
+    assert "repro.lang" not in closure
+    # ``if TYPE_CHECKING:`` imports do not count.
+    assert "repro.prover.ni" not in import_closure()
+
+
+def _function_imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield inner
+
+
+def _targets(node) -> set:
+    """The modules an import statement inside ``repro.prover`` may
+    name."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    anchor = ["repro", "prover"][:3 - node.level] if node.level else []
+    base = ".".join(anchor + ([node.module] if node.module else []))
+    return {base} | {f"{base}.{alias.name}" for alias in node.names}
+
+
+def test_no_prover_module_imports_the_checker_or_the_search_lazily():
+    lazy = [f"{path.name}:{node.lineno}"
+            for path in sorted(PROVER.glob("*.py"))
+            for node in _function_imports(ast.parse(path.read_text()))
+            if _targets(node) & (SEARCH | {CHECKER})]
+    assert not lazy, f"function-local imports of the prover: {lazy}"
+
+
+def test_an_invariant_rejection_never_searches(monkeypatch):
+    step = generic_step(build_ssh_program().build_validated())
+    proof = invariants.prove_invariant(step, auth_invariant_spec(step))
+    index, (key, path_index, _case) = next(
+        (i, case) for i, case in enumerate(proof.cases)
+        if isinstance(case[2], CaseEstablished))
+    cases = list(proof.cases)
+    cases[index] = (key, path_index, CaseInfeasible())
+    tampered = replace(proof, cases=tuple(cases))
+
+    def search(*args, **kwargs):
+        raise AssertionError("validating an invariant ran its search")
+
+    monkeypatch.setattr(invariants, "_prove_case", search)
+    complaints = validate_invariant(step, tampered)
+    ctype, msg = key
+    assert any(f"{ctype}=>{msg} path {path_index}" in complaint
+               for complaint in complaints), complaints
