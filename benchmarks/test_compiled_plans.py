@@ -1,8 +1,10 @@
 """CI smoke benchmark for compiled proof plans.
 
 One kernel, two configurations: ``compile_plans=True`` versus the
-``--no-compile`` interpreter path.  This is the differential the CI
-bench-smoke job runs on every push:
+``--no-compile`` interpreter path.  The two differ only in the executor
+that builds the symbolic step: the symbolic memos, the solver's prefix
+cache included, run in both (``term_cache`` switches those).  This is
+the differential the CI bench-smoke job runs on every push:
 
 * **semantics** — per-property statuses, checker approvals, derivation
   keys, and error text must be identical between the two paths (the

@@ -7,11 +7,9 @@ shows the gap on a long SSH session and measures the monitored
 interpreter's overhead over a bare one.
 """
 
-import pytest
-
 from repro.props import holds
 from repro.runtime import (
-    Interpreter, MonitoredInterpreter, TraceMonitor, Trace, World,
+    Interpreter, MonitoredInterpreter, World,
 )
 from repro.systems import ssh
 

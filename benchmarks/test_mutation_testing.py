@@ -2,8 +2,6 @@
 single-point mutant of every benchmark kernel, and the resulting kill
 table (an extension of the paper's §6.3 utility claim)."""
 
-import pytest
-
 from repro.harness import mutation
 
 

@@ -2,13 +2,14 @@
 
 Repeated ``verify_all`` runs (a fresh :class:`Verifier` per iteration,
 mirroring incremental re-verification) on the two deepest kernels, in
-two configurations, both on the interpreting executor
-(``compile_plans=False``):
+two configurations that differ only in ``term_cache``.  Both build the
+step with the interpreting executor (``compile_plans=False``), so the
+ratio measures the caches, not the executor:
 
-* **uncached** — term caches off: every round re-simplifies and
-  re-queries the solver;
-* **baseline** — term caches on: the memoized simplifier and solver
-  query cache, which warm rounds hit.
+* **uncached** — term caches off: every round re-simplifies, re-queries
+  the solver and folds every ``Facts`` state from scratch;
+* **baseline** — term caches on: the simplify and DNF memos and the
+  solver query and prefix caches, which warm rounds hit.
 
 Full mode asserts the ≥1.5× cached-over-uncached speedup the caching
 layer is sold on; quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke job)

@@ -12,7 +12,7 @@ from repro import Interpreter, ScriptedBehavior, Verifier, World
 from repro import ProgramBuilder, TraceProperty, pretty, specify
 from repro.lang import STR
 from repro.lang.builder import (
-    assign, cfg, eq, ite, lit, lookup, name, nop, send, sender, spawn,
+    cfg, eq, lookup, name, nop, send, sender, spawn,
 )
 from repro.props import comp_pat, msg_pat, recv_pat, send_pat, spawn_pat
 

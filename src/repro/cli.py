@@ -326,8 +326,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if complaint is None and args.breaker_cooldown <= 0:
         complaint = (f"--breaker-cooldown must be > 0, "
                      f"got {args.breaker_cooldown}")
-    if complaint is None and (args.sample_interval is not None
-                              and args.sample_interval <= 0):
+    if complaint is None and args.sample_interval <= 0:
         complaint = (f"--sample-interval must be > 0, "
                      f"got {args.sample_interval}")
     if complaint is None and (args.slo_p99_ms is not None
@@ -348,11 +347,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_inflight=args.session_inflight,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
+        sample_interval=args.sample_interval,
+        slo_p99_ms=args.slo_p99_ms,
     )
-    if args.sample_interval is not None:
-        options.sample_interval = args.sample_interval
-    if args.slo_p99_ms is not None:
-        options.slo_p99_ms = args.slo_p99_ms
     server = VerificationServer(options)
     try:
         server.start()
@@ -527,12 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--no-skip", action="store_true",
                         help="disable the syntactic skip optimization")
     verify.add_argument("--no-term-cache", action="store_true",
-                        help="disable memoized simplification and solver "
-                             "query caching (terms are still interned)")
+                        help="disable the simplify and DNF memos and the "
+                             "solver query and prefix caches (terms are "
+                             "still interned)")
     verify.add_argument("--no-compile", action="store_true",
                         help="build the symbolic step with the "
-                             "interpreting executor and without prefix-"
-                             "batched solver queries (escape hatch — "
+                             "interpreting executor (escape hatch — "
                              "verdicts and derivations are identical "
                              "either way)")
     verify.add_argument("-c", "--counterexample", action="store_true",
@@ -659,12 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default=serve_admission.DEFAULT_MAX_QUEUED,
                        help="daemon-wide cap on admitted, unanswered "
                             "submissions; past it submits are shed with "
-                            "an 'overloaded' frame "
-                            "(env REPRO_SERVE_MAX_QUEUED)")
+                            "an 'overloaded' frame")
     serve.add_argument("--session-inflight", type=int,
                        default=serve_admission.DEFAULT_SESSION_INFLIGHT,
-                       help="per-session in-flight submission cap "
-                            "(env REPRO_SERVE_MAX_PER_SESSION)")
+                       help="per-session in-flight submission cap")
     serve.add_argument("--breaker-threshold", type=int,
                        default=serve_breaker.DEFAULT_THRESHOLD,
                        help="consecutive backend failures before the "
@@ -673,14 +668,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default=serve_breaker.DEFAULT_COOLDOWN,
                        help="seconds an open breaker waits before its "
                             "half-open trial verification")
-    serve.add_argument("--sample-interval", type=float, default=None,
+    serve.add_argument("--sample-interval", type=float, default=1.0,
                        help="rolling time-series sampling interval in "
-                            "seconds (default 1.0; env "
-                            "REPRO_SERVE_SAMPLE_INTERVAL)")
+                            "seconds (default 1.0)")
     serve.add_argument("--slo-p99-ms", type=float, default=None,
                        help="p99 verify-latency objective in ms for the "
-                            "health verdict (default: no SLO; env "
-                            "REPRO_SERVE_SLO_P99_MS)")
+                            "health verdict (default: no SLO)")
     serve.set_defaults(func=_cmd_serve)
 
     top = sub.add_parser(

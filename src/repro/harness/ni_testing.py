@@ -16,14 +16,13 @@ statically.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..lang.values import ComponentInstance, Value
-from ..props.patterns import Binding, CompPat
+from ..lang.values import ComponentInstance
+from ..props.patterns import Binding
 from ..props.spec import NonInterference, SpecifiedProgram
-from ..runtime.actions import ARecv, ASend, ASpawn, Action
+from ..runtime.actions import ARecv, ASend, ASpawn
 from ..runtime.interpreter import Interpreter, KernelState
 from ..runtime.trace import Trace
 from ..runtime.world import World

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from ..lang import types as ty
 from ..lang.values import VFd, VTuple, Value, vbool, vnum, vstr
-from ..props.spec import SpecifiedProgram, TraceProperty
+from ..props.spec import SpecifiedProgram
 from ..runtime.interpreter import Interpreter, KernelState
 from ..runtime.world import World
 from ..symbolic.behabs import AbstractionChecker, RejectedTrace

@@ -29,7 +29,6 @@ from typing import List, Tuple
 
 from ..frontend import parse_program
 from ..props import (
-    NonInterference,
     TraceProperty,
     comp_pat,
     msg_pat,

@@ -29,7 +29,7 @@ from . import ast
 from . import types as ty
 from .errors import ValidationError
 from .validate import ProgramInfo, validate
-from .values import Value, from_python
+from .values import from_python
 
 # ---------------------------------------------------------------------------
 # Expression helpers

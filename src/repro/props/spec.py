@@ -15,7 +15,7 @@ failing proof, which is the DSL-frontend discipline the paper advocates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple, Union
 
 from ..lang.errors import ValidationError

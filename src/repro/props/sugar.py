@@ -23,7 +23,7 @@ desugaring discipline the paper prescribes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from .patterns import ActionPattern, FieldPattern, PWild, field_pattern
 from .spec import TraceProperty

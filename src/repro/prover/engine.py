@@ -55,7 +55,6 @@ from ..props.spec import (
 )
 from ..symbolic import cache as symcache
 from ..symbolic import compile as symcompile
-from ..symbolic import solver as symsolver
 from ..symbolic.behabs import GenericStep, generic_step
 from .checker import (
     Labeling,
@@ -122,15 +121,16 @@ class ProverOptions:
     cache_subproofs: bool = True
     check_proofs: bool = True
     #: consult the process-wide symbolic caches (interned-term simplify
-    #: memo, DNF memo, solver query cache — see docs/performance.md);
-    #: semantically invisible, so it does not shape obligation keys
+    #: memo, DNF memo, solver query and prefix caches — see
+    #: docs/performance.md); semantically invisible, so it does not
+    #: shape obligation keys
     term_cache: bool = True
     #: build the symbolic step with the closure-compiled executor of
-    #: :mod:`repro.symbolic.compile` and batch solver queries that share
-    #: an asserted prefix.  Semantically invisible — verdicts,
-    #: derivations and obligation keys are bit-for-bit identical with
-    #: it off (``--no-compile`` on the CLI, asserted by the compile
-    #: differential tests) — so it does not shape obligation keys.
+    #: :mod:`repro.symbolic.compile` instead of the interpreting one.
+    #: Semantically invisible — verdicts, derivations and obligation
+    #: keys are bit-for-bit identical with it off (``--no-compile`` on
+    #: the CLI, asserted by the compile differential tests) — so it
+    #: does not shape obligation keys.
     #: (The per-verification key table is not an optimisation switch:
     #: it runs either way.)
     compile_plans: bool = True
@@ -731,8 +731,7 @@ class Verifier:
         ``ProverOptions.term_cache``; caching never changes the verdict,
         the derivation, or its key (asserted by the differential tests).
         """
-        with symcache.scope(self.options.term_cache), \
-                symsolver.prefix_scope(self.options.compile_plans):
+        with symcache.scope(self.options.term_cache):
             with obs.span("property", property=prop.name):
                 result = self._prove_property_inner(prop)
         registry = obs.metrics_active()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..props.spec import NonInterference, TraceProperty
 from .derivation import (
     AbsenceInvariant,
     BoundedBridge,

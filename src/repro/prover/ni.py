@@ -54,15 +54,11 @@ from typing import List, Sequence, Tuple
 from .. import obs
 from ..lang.errors import ProofSearchFailure
 from ..props.spec import NonInterference
+from ..symbolic import cache as symcache
 from ..symbolic.behabs import Exchange, GenericStep
 from ..symbolic.expr import SComp, SOp, SVar, Term, free_vars, snot
 from ..symbolic.seval import FoundFact, SymPath, eval_sexpr
-from ..symbolic.solver import (
-    Facts,
-    entail_batch,
-    extend_facts,
-    prefix_enabled,
-)
+from ..symbolic.solver import Facts, entail_batch, extend_facts
 from ..symbolic.templates import TSend, TSpawn
 from .checker import Labeling, build_labeling, check_ni_base, ni_case_cubes
 
@@ -162,10 +158,10 @@ def _check_nilo(step: GenericStep, labeling: Labeling, ex: Exchange,
     if frame:
         queries = [query for _name, query in frame]
         # The high-variable frame conditions of one path form one query
-        # batch over the path's asserted prefix; without the prefix
-        # cache the shared Facts discharges them directly (identical
+        # batch over the path's asserted prefix; with the symbolic caches
+        # off the shared Facts discharges them directly (identical
         # answers either way — pinned by the batch equivalence test).
-        if prefix and prefix_enabled():
+        if prefix and symcache.enabled():
             results = entail_batch(prefix, queries,
                                    stop_on_failure=True)
         else:

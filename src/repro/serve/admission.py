@@ -24,8 +24,8 @@ from :meth:`shed_frame`.  The retry hint scales linearly with how far
 over capacity the backlog is, so a deeper pile-up spreads retries
 further apart.
 
-Defaults come from ``REPRO_SERVE_MAX_QUEUED`` and
-``REPRO_SERVE_MAX_PER_SESSION``; the CLI flags override both.
+The CLI flags ``--max-queued`` and ``--session-inflight`` set the two
+bounds.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from .housekeeping import _env_budget
-
 #: Default daemon-wide backlog of admitted, unanswered submissions.
-DEFAULT_MAX_QUEUED = _env_budget("REPRO_SERVE_MAX_QUEUED", 64)
+DEFAULT_MAX_QUEUED = 64
 
 #: Default per-session in-flight submissions.
-DEFAULT_SESSION_INFLIGHT = _env_budget("REPRO_SERVE_MAX_PER_SESSION", 4)
+DEFAULT_SESSION_INFLIGHT = 4
 
 #: Base retry hint (milliseconds) at exactly-full capacity.
 DEFAULT_RETRY_AFTER_MS = 200

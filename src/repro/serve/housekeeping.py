@@ -18,22 +18,11 @@ kernel, never wrong.
 
 from __future__ import annotations
 
-import os
-
 from .. import obs
 
-
-def _env_budget(name: str, default: int) -> int:
-    """An integer budget from the environment, tolerant of nonsense."""
-    try:
-        return max(1, int(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
-#: Default ceiling on interned-term population before a collection.
-DEFAULT_MAX_INTERN_TERMS = _env_budget("REPRO_SERVE_MAX_INTERN_TERMS",
-                                       1_000_000)
+#: Default ceiling on interned-term population before a collection
+#: (``repro serve --max-intern-terms``).
+DEFAULT_MAX_INTERN_TERMS = 1_000_000
 
 
 class CacheGovernor:

@@ -36,10 +36,10 @@ import socket
 import struct
 from typing import Optional, Tuple, Union
 
-#: Frame size ceiling; a peer announcing more is treated as malformed
-#: (protects the daemon from one bad client allocating gigabytes).
-MAX_FRAME_BYTES = int(os.environ.get("REPRO_SERVE_MAX_FRAME",
-                                     64 * 1024 * 1024))
+#: Frame size ceiling, shared by the client and the daemon; a peer
+#: announcing more is treated as malformed (protects the daemon from one
+#: bad client allocating gigabytes).
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 

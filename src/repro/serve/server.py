@@ -83,7 +83,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -136,18 +136,6 @@ _RECENT_SUBMISSIONS = 32
 _SWITCH_INTERVAL_S = 0.0005
 
 
-def _env_float(name: str) -> Optional[float]:
-    """An optional positive float from the environment."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 @dataclass
 class ServeOptions:
     """Daemon configuration (the CLI's ``repro serve`` flags)."""
@@ -168,28 +156,21 @@ class ServeOptions:
     stats_out: Optional[str] = None
     #: bind the daemon's flight recorder to this JSONL path
     events_out: Optional[str] = None
-    #: daemon-wide cap on admitted, unanswered submissions
-    #: (``REPRO_SERVE_MAX_QUEUED``); past it submits are shed
+    #: daemon-wide cap on admitted, unanswered submissions; past it
+    #: submits are shed
     max_queued: int = DEFAULT_MAX_QUEUED
-    #: per-session in-flight submission cap (``REPRO_SERVE_MAX_PER_SESSION``)
+    #: per-session in-flight submission cap
     session_inflight: int = DEFAULT_SESSION_INFLIGHT
     #: consecutive backend failures before the circuit breaker opens
     breaker_threshold: int = DEFAULT_THRESHOLD
     #: seconds an open breaker waits before its half-open trial
     breaker_cooldown: float = DEFAULT_COOLDOWN
     #: rolling time-series sampling interval, seconds
-    #: (``REPRO_SERVE_SAMPLE_INTERVAL``)
-    sample_interval: float = field(
-        default_factory=lambda: (
-            _env_float("REPRO_SERVE_SAMPLE_INTERVAL") or 1.0
-        )
-    )
+    sample_interval: float = 1.0
     #: p99 latency objective for ``serve.verify.seconds``, milliseconds
-    #: (``REPRO_SERVE_SLO_P99_MS``; ``None`` disables the SLO health
-    #: check — see :mod:`repro.serve.slo`)
-    slo_p99_ms: Optional[float] = field(
-        default_factory=lambda: _env_float("REPRO_SERVE_SLO_P99_MS")
-    )
+    #: (``None`` disables the SLO health check — see
+    #: :mod:`repro.serve.slo`)
+    slo_p99_ms: Optional[float] = None
 
 
 @dataclass

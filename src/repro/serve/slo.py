@@ -22,8 +22,8 @@ Checks, in the order they are evaluated:
     ``degraded`` (its stats/events outputs are stale; verification
     itself still works);
 ``slo``
-    when a p99 latency SLO is configured (``slo_p99_ms``, env
-    ``REPRO_SERVE_SLO_P99_MS``): the windowed p99 of
+    when a p99 latency SLO is configured (``slo_p99_ms``, the
+    ``--slo-p99-ms`` flag): the windowed p99 of
     ``serve.verify.seconds`` above the objective is ``degraded``, and an
     error-budget *burn rate* at or past ``burn_unhealthy`` is
     ``unhealthy``.  The budget is the fraction of requests allowed over
@@ -39,8 +39,7 @@ server object, so the policy is unit-testable with hand-built inputs.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs.timeseries import TimeSeries
@@ -62,28 +61,13 @@ DEFAULT_BACKLOG_DEGRADED = 0.8
 DEFAULT_BURN_UNHEALTHY = 2.0
 
 
-def _env_optional_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 @dataclass
 class HealthPolicy:
     """The knobs behind :func:`compute_health` (all optional)."""
 
     #: p99 latency objective for ``serve.verify.seconds``, milliseconds
-    #: (``None`` disables the SLO check; env ``REPRO_SERVE_SLO_P99_MS``)
-    slo_p99_ms: Optional[float] = field(
-        default_factory=lambda: _env_optional_float(
-            "REPRO_SERVE_SLO_P99_MS"
-        )
-    )
+    #: (``None`` disables the SLO check)
+    slo_p99_ms: Optional[float] = None
     #: rolling window the SLO (and flush deltas) are computed over
     slo_window_s: float = DEFAULT_SLO_WINDOW_S
     #: fraction of requests that must meet the objective

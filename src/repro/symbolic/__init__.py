@@ -3,7 +3,7 @@ pattern/template unification, symbolic evaluation, and the behavioral
 abstraction ``BehAbs`` the prover inducts over.
 
 Terms are hash-consed (see :mod:`repro.symbolic.expr`) and the hot
-simplify/DNF/solver paths are memoized behind the knobs in
+simplify/DNF/solver paths are memoized behind the one switch in
 :mod:`repro.symbolic.cache`; ``docs/performance.md`` describes the layer.
 """
 

@@ -45,7 +45,7 @@ from ..runtime.actions import ACall, ARecv, ASelect, ASend, ASpawn, Action
 from ..runtime.interpreter import KernelState, eval_expr, _Scope
 from ..runtime.trace import Trace
 from ..lang.values import VBool, VComp, Value
-from .expr import FreshNames, SComp, SVar, Term, lift_value
+from .expr import FreshNames, SComp, SVar, Term
 from .seval import SymPath, eval_sexpr, sym_exec
 from .templates import TCall, TRecv, TSelect, TSpawn, Template
 

@@ -1,46 +1,37 @@
-"""Knobs and introspection for the symbolic caching layer.
+"""The switch, bounds and introspection of the symbolic caching layer.
 
-Three caches sit on the prover's hot path, all keyed on interned terms
+Four caches sit on the prover's hot path, all keyed on interned terms
 (see :mod:`repro.symbolic.expr`):
 
 * the :func:`repro.symbolic.simplify.simplify` memo,
 * the DNF memo in the same module,
 * the solver query cache in :mod:`repro.symbolic.solver` (entailment and
-  consistency answers keyed on the asserted-literal sequence).
+  consistency answers keyed on the asserted-literal sequence),
+* the solver prefix cache in the same module (built ``Facts`` states
+  keyed on the asserted-literal sequence).
 
-This module owns the shared *enabled* flag (``ProverOptions.term_cache``
-and the CLI's ``--no-term-cache`` flow through here), the bounded-size
-limits (overridable via ``REPRO_SIMPLIFY_CACHE_SIZE``,
-``REPRO_DNF_CACHE_SIZE`` and ``REPRO_SOLVER_CACHE_SIZE``), and the
-introspection helpers the CLI folds into ``--profile`` output.  Caching
-is *semantically invisible*: the differential tests assert byte-identical
-verdicts, derivations and derivation keys with caches on and off.
+This module owns their one *enabled* flag (``ProverOptions.term_cache``
+and the CLI's ``--no-term-cache`` flow through here), their LRU bounds,
+and the introspection helpers the CLI folds into ``--profile`` output.
+Caching is *semantically invisible*: the differential tests assert
+byte-identical verdicts, derivations and derivation keys with caches on
+and off.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-
-def _env_size(name: str, default: int) -> int:
-    """A cache-size limit from the environment, falling back on nonsense."""
-    try:
-        return max(0, int(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
 #: Maximum entries in the simplify memo (LRU evicted beyond this).
-SIMPLIFY_CACHE_SIZE = _env_size("REPRO_SIMPLIFY_CACHE_SIZE", 65536)
+SIMPLIFY_CACHE_SIZE = 65536
 #: Maximum entries in the DNF memo.
-DNF_CACHE_SIZE = _env_size("REPRO_DNF_CACHE_SIZE", 16384)
+DNF_CACHE_SIZE = 16384
 #: Maximum entries in the solver query cache.
-SOLVER_CACHE_SIZE = _env_size("REPRO_SOLVER_CACHE_SIZE", 32768)
+SOLVER_CACHE_SIZE = 32768
 #: Maximum entries in the solver prefix cache (built ``Facts`` states
 #: keyed on their asserted-literal sequence; see ``facts_for``).
-PREFIX_CACHE_SIZE = _env_size("REPRO_PREFIX_CACHE_SIZE", 4096)
+PREFIX_CACHE_SIZE = 4096
 
 #: The process-wide switch (``True`` = memoize).  Interning itself is
 #: independent of this flag — identity fast paths stay sound either way.
@@ -48,7 +39,8 @@ _ENABLED = True
 
 
 def enabled() -> bool:
-    """Whether the simplify/DNF/solver caches are currently consulted."""
+    """Whether the simplify/DNF/query/prefix caches are currently
+    consulted."""
     return _ENABLED
 
 
@@ -71,7 +63,8 @@ def scope(value: bool) -> Iterator[None]:
 
 
 def clear_all() -> None:
-    """Empty the simplify, DNF and solver caches (not the intern table)."""
+    """Empty the simplify, DNF, query and prefix caches (not the intern
+    table)."""
     # Import the names, not the modules: the package __init__ rebinds
     # ``simplify`` to the function, shadowing the submodule attribute.
     from .simplify import clear_caches as clear_simplify

@@ -21,22 +21,19 @@ component-set/Spawn-action correspondence (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..lang import ast
-from ..lang import types as ty
 from ..lang.errors import SymbolicError
 from ..lang.validate import CALL_RESULT_TYPE, ProgramInfo
 from .expr import (
     FreshNames,
     SComp,
-    SConst,
     SOp,
     SProj,
     STuple,
-    SVar,
     Term,
     lift_value,
 )

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..lang import types as ty
-from ..lang.values import VBool, VNum
+from ..lang.values import VNum
 from . import cache as _cache
 from .expr import S_FALSE, S_TRUE, SComp, SConst, SOp, Term, snot
 from .simplify import (
@@ -54,23 +53,19 @@ from .simplify import (
 #: answer is a pure function of ``(kind, asserted sequence, query term)``
 #: — that tuple (of *interned terms*, never raw hashes, so collisions
 #: cannot produce unsound answers) is the cache key.  Bounded LRU;
-#: :mod:`repro.symbolic.cache` owns the size knob and the on/off switch.
+#: :mod:`repro.symbolic.cache` owns the bound and the on/off switch.
 _QUERY_CACHE: "OrderedDict[tuple, bool]" = OrderedDict()
 
 #: The process-wide *prefix* cache: built :class:`Facts` states keyed on
 #: the exact literal sequence asserted into them.  A :class:`Facts` is a
 #: deterministic fold over its assertion log, so a cached state for a
 #: prefix can be copied and extended instead of re-folding the whole
-#: sequence — the compiled-pipeline hot path (path feasibility, NI case
-#: analysis, occurrence facts) asks for the same prefixes thousands of
-#: times.  Entries are never handed out directly: :func:`facts_for`
-#: returns copies, so cached states stay frozen.
+#: sequence — path feasibility, NI case analysis and occurrence facts
+#: ask for the same prefixes thousands of times.  Entries are never
+#: handed out directly: :func:`facts_for` returns copies, so cached
+#: states stay frozen.  Bounded LRU under the same switch as the query
+#: cache (:mod:`repro.symbolic.cache`).
 _PREFIX_CACHE: "OrderedDict[Tuple[Term, ...], Facts]" = OrderedDict()
-
-#: Switch for the prefix cache, independent of the query-cache switch so
-#: the ``--no-compile`` escape hatch can restore the pre-compiled-plan
-#: solver behavior exactly (see :mod:`repro.symbolic.compile`).
-_PREFIX_ENABLED = True
 
 
 def clear_caches() -> None:
@@ -85,33 +80,6 @@ def cache_sizes() -> Dict[str, int]:
         "solver.cache.size": len(_QUERY_CACHE),
         "solver.prefix.size": len(_PREFIX_CACHE),
     }
-
-
-def set_prefix_enabled(value: bool) -> None:
-    """Enable or disable the prefix cache (driven by
-    ``ProverOptions.compile_plans``; the batched entailment API still
-    works with it off, just without cross-call reuse)."""
-    global _PREFIX_ENABLED
-    _PREFIX_ENABLED = bool(value)
-
-
-def prefix_enabled() -> bool:
-    """Whether :func:`facts_for` may consult the prefix cache."""
-    return _PREFIX_ENABLED and _cache.enabled()
-
-
-@contextmanager
-def prefix_scope(value: bool):
-    """Temporarily force the prefix cache on or off (used by the engine
-    so ``--no-compile`` restores the exact pre-compiled solver
-    behavior)."""
-    global _PREFIX_ENABLED
-    saved = _PREFIX_ENABLED
-    _PREFIX_ENABLED = bool(value)
-    try:
-        yield
-    finally:
-        _PREFIX_ENABLED = saved
 
 
 def _query_cache_get(key: tuple) -> Optional[bool]:
@@ -502,7 +470,7 @@ def facts_for(literals: Sequence[Term]) -> Facts:
     """A :class:`Facts` state with ``literals`` asserted in order.
 
     Semantically identical to folding ``assert_term`` over the sequence
-    on a fresh state.  With the prefix cache enabled, the state is served
+    on a fresh state.  With the symbolic caches enabled, the state is served
     from (or seeded into) the process-wide cache: an exact hit returns a
     copy of the cached state; otherwise the longest cached proper prefix
     is copied and only the suffix literals are discharged incrementally.
@@ -510,7 +478,7 @@ def facts_for(literals: Sequence[Term]) -> Facts:
     further facts into it freely.
     """
     key = tuple(literals)
-    if not prefix_enabled():
+    if not _cache.enabled():
         facts = Facts()
         for literal in key:
             facts.assert_term(literal)

@@ -30,7 +30,6 @@ from ..props.patterns import (
     FieldPattern,
     MsgPat,
     PLit,
-    PVar,
     PWild,
     RecvPat,
     SelectPat,

@@ -31,7 +31,7 @@ from ..frontend import parse_program
 from ..props.spec import SpecifiedProgram
 from ..runtime.components import ScriptedBehavior
 from ..runtime.world import World
-from .browser import TabProcess, check_socket_policy
+from .browser import check_socket_policy
 
 SOURCE = '''
 program browser2 {

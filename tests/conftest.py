@@ -11,15 +11,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-settings.register_profile(
-    "repro",
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("repro")
-
-from repro.lang import FD, NUM, STR
+from repro.lang import FD, STR
 from repro.lang.builder import (
     ProgramBuilder,
     assign,
@@ -30,12 +22,18 @@ from repro.lang.builder import (
     lit,
     lookup,
     name,
-    nop,
     send,
-    sender,
     spawn,
     tup,
 )
+
+settings.register_profile(
+    "repro",
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("repro")
 
 
 def build_ssh_program() -> ProgramBuilder:

@@ -7,8 +7,6 @@ import pytest
 
 from repro.harness import figure6, ni_testing, soundness, table1
 from repro.lang import types as ty
-from repro.lang.values import VBool, VFd, VNum, VStr, VTuple
-from repro.props import NonInterference, comp_pat
 from repro.systems import BENCHMARKS, browser
 
 
@@ -16,7 +14,7 @@ class TestFigure6Table:
     def test_paper_rows_reference_existing_properties(self):
         for benchmark, prop_name, _desc, seconds in figure6.PAPER_FIGURE6:
             spec = BENCHMARKS[benchmark].load()
-            prop = spec.property_named(prop_name)  # KeyError = bad table
+            spec.property_named(prop_name)  # KeyError = bad table
             assert seconds > 0
 
     def test_rows_are_exactly_the_benchmark_properties(self):

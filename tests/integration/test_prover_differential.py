@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lang import NUM, STR
+from repro.lang import STR
 from repro.lang.builder import (
     ProgramBuilder, add, assign, call, cfg, eq, ite, le, lit, lookup,
     name, send, sender, spawn, block,
@@ -27,7 +27,7 @@ from repro.props import (
     TraceProperty, comp_pat, msg_pat, recv_pat, send_pat, spawn_pat,
     specify,
 )
-from repro.prover import ProverOptions, Verifier
+from repro.prover import Verifier
 from repro.runtime import Interpreter, ScriptedBehavior, World
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import BOOL, NUM, STR, CompType, TypeMismatch, ValidationError
+from repro.lang import BOOL, STR, CompType, TypeMismatch, ValidationError
 from repro.lang import tuple_of
 from repro.lang.builder import (
     ProgramBuilder,
@@ -18,7 +18,6 @@ from repro.lang.builder import (
     send,
     sender,
     spawn,
-    tup,
 )
 from tests.conftest import build_ssh_program
 

@@ -3,8 +3,6 @@
 from repro.lang.values import ComponentInstance, VFd, vnum, vstr
 from repro.props.patterns import (
     CallPat,
-    CompPat,
-    MsgPat,
     PLit,
     PVar,
     PWild,

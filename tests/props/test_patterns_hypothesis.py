@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.lang.values import ComponentInstance, vnum, vstr
 from repro.props.patterns import (
-    PLit, PVar, PWild, RecvPat, SendPat, comp_pat, msg_pat,
+    PLit, PVar, PWild, SendPat, comp_pat, msg_pat,
 )
 from repro.runtime.actions import ARecv, ASend
 

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lang.values import ComponentInstance, vnum, vstr
-from repro.props import tracepreds
+from repro.lang.values import ComponentInstance, vnum
 from repro.props.patterns import (
-    PVar, PWild, RecvPat, SendPat, comp_pat, msg_pat,
+    RecvPat, SendPat, comp_pat, msg_pat,
 )
 from repro.props.tracepreds import (
     NEWEST_FIRST_SEMANTICS, PRIMITIVES, check_wellformed, holds, violations,
@@ -106,7 +105,7 @@ class TestPrimitiveSemantics:
         assert not holds("ImmBefore", a, b, Trace([self.send(B, "M", 0)]))
 
     def test_immafter_mirror(self):
-        a = self_pat = RecvPat(comp_pat("A"), msg_pat("M", "_"))
+        a = RecvPat(comp_pat("A"), msg_pat("M", "_"))
         b = SendPat(comp_pat("B"), msg_pat("M", "_"))
         # ImmAfter A B: every A-match immediately followed by a B-match.
         ok = Trace([self.recv(A, "M", 0), self.send(B, "M", 0)])

@@ -1,17 +1,15 @@
 """Tests for the base case of the induction: trigger occurrences inside
 the Init trace itself."""
 
-import pytest
-
 from repro.lang import STR
 from repro.lang.builder import (
-    ProgramBuilder, assign, call, lit, name, spawn,
+    ProgramBuilder, call, lit, spawn,
 )
 from repro.props import (
-    TraceProperty, comp_pat, msg_pat, recv_pat, send_pat, spawn_pat,
+    TraceProperty, comp_pat, spawn_pat,
     specify,
 )
-from repro.props.patterns import CallPat, PVar, PWild
+from repro.props.patterns import CallPat, PWild
 from repro.prover import Verifier
 
 

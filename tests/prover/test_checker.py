@@ -34,7 +34,6 @@ from repro.prover.derivation import (
     CaseSyntacticSkip,
     EarlierWitness,
     HistoryInvariant,
-    ImmWitness,
     InvariantProof,
     InvariantSpec,
     OccurrenceProof,

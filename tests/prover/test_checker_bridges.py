@@ -7,7 +7,7 @@ import pytest
 
 from repro.lang import ProofCheckFailure
 from repro.prover import Verifier
-from repro.prover.checker import check_trace_proof, trace_proof_complaints
+from repro.prover.checker import check_trace_proof
 from repro.prover.derivation import (
     BoundedBridge,
     BoundedProof,

@@ -1,8 +1,5 @@
 """Tests for candidate-counterexample extraction on failed proofs."""
 
-import pytest
-
-from repro.lang import NUM, STR
 from repro.lang import types as ty
 from repro.lang.values import VBool, VNum, VStr
 from repro.props import (
@@ -15,7 +12,7 @@ from repro.prover.counterexample import (
     render_template,
 )
 from repro.symbolic.expr import (
-    SComp, SOp, SProj, STuple, SVar, sadd, seq_, snot, snum, sstr,
+    SComp, SOp, SProj, SVar, sadd, seq_, snot, snum, sstr,
 )
 from repro.symbolic.templates import TRecv, TSend
 

@@ -13,7 +13,7 @@ import pytest
 from repro.lang import STR
 from repro.lang.builder import (
     ProgramBuilder, assign, cfg, concat, eq, ite, lit, lookup, name,
-    send, sender, spawn,
+    send, spawn,
 )
 from repro.props import (
     NonInterference, TraceProperty, comp_pat, msg_pat, recv_pat, send_pat,

@@ -2,20 +2,17 @@
 
 import pytest
 
-from repro.lang import NUM, STR
+from repro.lang import NUM
 from repro.lang.builder import (
-    ProgramBuilder, add, assign, eq, ite, le, lit, name, send, spawn, tup,
+    ProgramBuilder, add, assign, lit, name, spawn,
 )
 from repro.lang.errors import ProofSearchFailure
 from repro.props import comp_pat, msg_pat, send_pat, recv_pat
 from repro.prover.derivation import (
-    BaseClean,
     BaseVacuous,
     BaseWitness,
     BoundedSpec,
     CaseEstablished,
-    CaseInfeasible,
-    CasePreserved,
     CaseSyntacticSkip,
     InvariantSpec,
 )
@@ -27,7 +24,6 @@ from repro.prover.invariants import (
 )
 from repro.prover.obligations import InstPattern
 from repro.symbolic.behabs import generic_step
-from repro.symbolic.expr import SProj, SVar, seq_, sstr
 from tests.conftest import build_ssh_program
 
 
@@ -37,7 +33,6 @@ def ssh_step():
 
 def auth_invariant_spec(step):
     """The SSH history invariant, built the way the tactic builds it."""
-    from repro.prover.checker import OccurrenceContext
     from repro.prover.obligations import occurrences, scheme_of
     from repro.props import TraceProperty
 

@@ -1,8 +1,6 @@
 """Tests for the non-interference prover: labelings, NIlo, NIhi, base
 conditions, and high-only lookup reasoning."""
 
-import pytest
-
 from repro.lang import STR
 from repro.lang.builder import (
     ProgramBuilder, assign, call, cfg, eq, ite, lit, lookup, name, send,

@@ -98,12 +98,18 @@ class TestStoreReuse:
         from repro.prover import engine
 
         calls = []
+
+        def counting(name):
+            real = getattr(engine, name)
+
+            def count(*args):
+                calls.append(name)
+                return real(*args)
+            return count
+
         for name in ("trace_base_complaints", "trace_exchange_complaints",
                      "check_trace_proof", "check_ni_proof"):
-            def counting(*args, _real=getattr(engine, name), _name=name):
-                calls.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(engine, name, counting)
+            monkeypatch.setattr(engine, name, counting(name))
         options = ProverOptions(proof_store=str(tmp_path),
                                 check_proofs=False)
         cold = Verifier(browser_spec, options).verify_all()

@@ -1,18 +1,16 @@
 """End-to-end tests of the trace-property tactics: every primitive, every
 justification family, positive and negative cases."""
 
-import pytest
-
-from repro.lang import FD, NUM, STR
+from repro.lang import NUM, STR
 from repro.lang.builder import (
-    ProgramBuilder, add, assign, block, call, cfg, eq, ite, le, lit,
-    lookup, name, send, sender, spawn, tup,
+    ProgramBuilder, add, assign, block, call, cfg, eq, ite, lit,
+    lookup, name, send, sender, spawn,
 )
 from repro.props import (
     TraceProperty, comp_pat, msg_pat, recv_pat, send_pat, spawn_pat,
     specify,
 )
-from repro.props.patterns import CallPat, PLit, PVar, PWild
+from repro.props.patterns import CallPat, PLit, PVar
 from repro.prover import Verifier
 from repro.prover.derivation import (
     EarlierWitness,

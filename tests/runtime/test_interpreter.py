@@ -4,12 +4,12 @@ import pytest
 
 from repro.lang import STR, WorldError
 from repro.lang.builder import (
-    ProgramBuilder, assign, call, cfg, eq, ite, lit, lookup, name, proj,
-    send, sender, spawn, tup,
+    ProgramBuilder, assign, call, cfg, eq, ite, lit, name, proj,
+    send, sender, spawn,
 )
-from repro.lang.values import VBool, VComp, VNum, VStr, vstr
+from repro.lang.values import VBool, VComp, VNum, VStr
 from repro.runtime import (
-    ACall, ARecv, ASelect, ASend, ASpawn,
+    ACall, ARecv, ASend, ASpawn,
     Interpreter, RecordingBehavior, ScriptedBehavior, World,
 )
 from tests.conftest import build_registry_program, build_ssh_program

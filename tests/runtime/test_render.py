@@ -1,6 +1,6 @@
 """Tests for the text sequence-diagram renderer."""
 
-from repro.lang.values import ComponentInstance, VFd, vstr
+from repro.lang.values import ComponentInstance, vstr
 from repro.runtime.actions import ACall, ARecv, ASelect, ASend, ASpawn
 from repro.runtime.render import render_sequence
 from repro.runtime.trace import Trace
@@ -35,8 +35,8 @@ class TestRenderSequence:
     def test_arrows_have_directions(self):
         text = render_sequence(sample_trace())
         lines = text.splitlines()
-        recv_line = next(l for l in lines if "ReqAuth" in l)
-        send_line = next(l for l in lines if "CheckAuth" in l)
+        recv_line = next(line for line in lines if "ReqAuth" in line)
+        send_line = next(line for line in lines if "CheckAuth" in line)
         assert "<--" in recv_line    # component -> kernel
         assert "-->" in send_line or "->" in send_line
 

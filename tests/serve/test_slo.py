@@ -214,15 +214,5 @@ class TestSloCheck:
 
 
 class TestPolicyDefaults:
-    def test_env_var_enables_the_slo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_SLO_P99_MS", "250")
-        assert HealthPolicy().slo_p99_ms == 250.0
-
-    def test_bad_env_values_disable_the_slo(self, monkeypatch):
-        for raw in ("", "nope", "-5", "0"):
-            monkeypatch.setenv("REPRO_SERVE_SLO_P99_MS", raw)
-            assert HealthPolicy().slo_p99_ms is None
-
-    def test_unset_env_disables_the_slo(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_SLO_P99_MS", raising=False)
+    def test_default_policy_has_no_slo(self):
         assert HealthPolicy().slo_p99_ms is None

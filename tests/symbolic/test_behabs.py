@@ -5,7 +5,7 @@ import pytest
 
 from repro.lang import STR
 from repro.lang.builder import (
-    ProgramBuilder, assign, call, lit, name, send, spawn,
+    ProgramBuilder, call, lit, spawn,
 )
 from repro.lang.values import VBool, VStr
 from repro.runtime import Interpreter, ScriptedBehavior, Trace, World

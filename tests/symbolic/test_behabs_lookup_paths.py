@@ -1,12 +1,10 @@
 """AbstractionChecker coverage for the trickier command forms: lookup
 determinism, call results, and handler-local bindings."""
 
-import pytest
-
 from repro.lang.values import VStr, vstr
 from repro.runtime import Interpreter, RecordingBehavior, Trace, World
 from repro.runtime.actions import ACall, ASend
-from repro.symbolic.behabs import AbstractionChecker, RejectedTrace
+from repro.symbolic.behabs import AbstractionChecker
 from tests.conftest import build_registry_program
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang import types as ty
 from repro.lang.errors import SymbolicError
-from repro.lang.values import VNum, VTuple, vnum, vstr
+from repro.lang.values import VTuple, vnum, vstr
 from repro.symbolic.expr import (
     FreshNames,
     SComp,

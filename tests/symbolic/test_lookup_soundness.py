@@ -6,11 +6,9 @@ literals (that would exclude real executions from the inductive case
 analysis — an unsoundness, not an incompleteness).
 """
 
-import pytest
-
-from repro.lang import NUM, STR
+from repro.lang import STR
 from repro.lang.builder import (
-    ProgramBuilder, assign, band, cfg, eq, lit, lookup, name, send, spawn,
+    ProgramBuilder, band, cfg, eq, lit, lookup, name, send, spawn,
 )
 from repro.props import (
     TraceProperty, comp_pat, msg_pat, recv_pat, send_pat, specify,
@@ -54,7 +52,6 @@ class TestMissingBranchCondition:
         # t differs): exactly the execution a naive ¬k0 ∧ ¬t0 encoding
         # would exclude.
         from repro.symbolic.expr import SOp, sstr
-        from repro.symbolic.solver import Facts
 
         facts = missing.facts()
         k_var = next(v for v in ex.payload if "Go_k" in v.name)

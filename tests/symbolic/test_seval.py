@@ -1,17 +1,15 @@
 """Tests for symbolic evaluation of handlers."""
 
-import pytest
-
-from repro.lang import NUM, STR
+from repro.lang import STR
 from repro.lang.builder import (
-    ProgramBuilder, add, assign, call, cfg, eq, ite, lit, lookup, name,
-    send, sender, spawn, block,
+    ProgramBuilder, assign, call, cfg, eq, ite, lit, lookup, name,
+    send, spawn, block,
 )
 from repro.symbolic.behabs import generic_step
-from repro.symbolic.expr import S_FALSE, SComp, SVar
+from repro.symbolic.expr import SVar
 from repro.symbolic.seval import FoundFact, MissingFact
-from repro.symbolic.templates import TCall, TRecv, TSelect, TSend, TSpawn
-from tests.conftest import build_registry_program, build_ssh_program
+from repro.symbolic.templates import TCall, TSend, TSpawn
+from tests.conftest import build_registry_program
 
 
 def exchange(info, ctype, msg):

@@ -1,11 +1,10 @@
 """Unit and property tests for the simplifier and DNF."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lang import types as ty
-from repro.lang.values import VBool, vnum, vstr
+from repro.lang.values import VBool, vstr
 from repro.symbolic.expr import (
     S_FALSE,
     S_TRUE,

@@ -22,7 +22,7 @@ from repro.symbolic.expr import (
     snum,
     sstr,
 )
-from repro.symbolic.simplify import dnf, simplify
+from repro.symbolic.simplify import simplify
 from repro.symbolic.solver import Facts, cube_implies, cube_inconsistent
 from tests.symbolic.helpers import cube_forces, cube_satisfiable
 

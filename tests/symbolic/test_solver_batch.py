@@ -1,25 +1,19 @@
 """Batched entailment is a pure optimization.
 
-The compiled-plan hot path discharges obligation groups through
+The prover's hot path discharges obligation groups through
 :func:`repro.symbolic.solver.entail_batch` (one ``Facts`` state per
 shared prefix) and :meth:`Facts.implies_all` instead of building a fresh
 state per query.  These property tests pin the contract: over randomized
 literal prefixes and query batches, the batched APIs are *element-wise
-identical* to the one-at-a-time baseline — with the prefix cache on and
-off, warm and cold.
+identical* to the one-at-a-time baseline — with the symbolic caches
+(prefix cache included) on and off, warm and cold.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.symbolic import cache as symcache
-from repro.symbolic.solver import (
-    Facts,
-    entail_batch,
-    extend_facts,
-    facts_for,
-    prefix_scope,
-)
+from repro.symbolic.solver import Facts, entail_batch, extend_facts, facts_for
 from tests.symbolic.test_solver import cubes, literals
 
 queries = st.lists(literals, min_size=0, max_size=4)
@@ -42,7 +36,7 @@ class TestBatchEquivalence:
     def test_entail_batch_matches_one_at_a_time(self, prefix, batch,
                                                 prefix_cache):
         expected = _one_at_a_time(prefix, batch)
-        with prefix_scope(prefix_cache):
+        with symcache.scope(prefix_cache):
             assert entail_batch(prefix, batch) == expected
             # A warm second round (same prefix now cached) must not
             # change a single verdict.
@@ -75,7 +69,7 @@ class TestPrefixCacheTransparency:
         for literal in prefix:
             baseline.assert_term(literal)
         for enabled in (False, True):
-            with prefix_scope(enabled):
+            with symcache.scope(enabled):
                 assert facts_for(prefix).implies(query) \
                     == baseline.implies(query)
 
@@ -86,7 +80,7 @@ class TestPrefixCacheTransparency:
         for literal in tuple(prefix) + tuple(extra):
             whole.assert_term(literal)
         for enabled in (False, True):
-            with prefix_scope(enabled):
+            with symcache.scope(enabled):
                 assert extend_facts(prefix, extra).implies(query) \
                     == whole.implies(query)
 
@@ -94,7 +88,7 @@ class TestPrefixCacheTransparency:
     @given(cubes, literals, literals)
     def test_returned_state_is_private(self, prefix, extra, query):
         """Asserting into a served state must not corrupt the cache."""
-        with prefix_scope(True):
+        with symcache.scope(True):
             first = facts_for(prefix)
             first.assert_term(extra)
             served_again = facts_for(prefix)

@@ -2,11 +2,11 @@
 
 from repro.lang import types as ty
 from repro.props.patterns import (
-    CallPat, PLit, PVar, PWild, comp_pat, msg_pat, recv_pat, send_pat,
+    CallPat, PLit, PVar, comp_pat, msg_pat, recv_pat, send_pat,
     spawn_pat,
 )
 from repro.symbolic.expr import (
-    S_FALSE, SComp, SConst, SVar, sstr, snum,
+    SComp, SVar, sstr,
 )
 from repro.symbolic.templates import (
     TCall, TRecv, TSelect, TSend, TSpawn, substitute_template,

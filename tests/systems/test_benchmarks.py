@@ -4,7 +4,7 @@ automatically — 41 properties total, zero manual proof input."""
 
 import pytest
 
-from repro.props import NonInterference, TraceProperty
+from repro.props import TraceProperty
 from repro.prover import Verifier
 from repro.systems import BENCHMARKS, load_all, total_property_count
 

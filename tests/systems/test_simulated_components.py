@@ -4,7 +4,7 @@ what the components experienced."""
 
 import pytest
 
-from repro.lang.values import VFd, VStr
+from repro.lang.values import VFd
 from repro.runtime import Interpreter, World
 from repro.runtime.actions import ASend
 from repro.systems import browser, browser2, browser3, car, ssh, ssh2, webserver
