@@ -9,8 +9,9 @@ proof**.  This package rebuilds the whole system in Python:
 * :mod:`repro.lang` — the DSL: types, AST, validation, builders,
 * :mod:`repro.frontend` — concrete syntax (Figure 3 style): parser and
   pretty-printer,
-* :mod:`repro.runtime` — the interpreter, ghost traces, and the simulated
-  world of sandboxed components,
+* :mod:`repro.runtime` — the interpreter, ghost traces, the simulated
+  world of sandboxed components, and the trace replay that checks a run
+  against the behavioral abstraction,
 * :mod:`repro.props` — action patterns, the five trace primitives, and
   non-interference labelings,
 * :mod:`repro.symbolic` — terms, a path-condition solver, symbolic
@@ -55,8 +56,14 @@ from .prover import (
     prove,
     verify,
 )
-from .runtime import Interpreter, ScriptedBehavior, Trace, World, run_program
-from .symbolic import AbstractionChecker
+from .runtime import (
+    AbstractionChecker,
+    Interpreter,
+    ScriptedBehavior,
+    Trace,
+    World,
+    run_program,
+)
 
 __version__ = "0.1.0"
 

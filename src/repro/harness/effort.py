@@ -14,7 +14,9 @@ The reproduction has the same architecture, so the harness counts our
 modules under the corresponding roles.  The mapping:
 
 * *syntax and semantics* → ``repro.lang`` + ``repro.frontend`` +
-  ``repro.runtime`` (minus the world, counted as primitives),
+  ``repro.runtime`` (minus the world, counted as primitives): the
+  interpreter and, beside it, the trace replay that checks a run
+  against the abstraction,
 * *once-and-for-all proofs* → the trusted core: every ``repro.symbolic``
   and ``repro.prover`` module in the checker's module-level import
   closure (:func:`import_closure`, the same closure the trust-line test
@@ -152,6 +154,7 @@ def _role_modules() -> Dict[str, List[str]]:
             "lang.validate", "lang.builder",
             "frontend.lexer", "frontend.parser", "frontend.pretty",
             "runtime.actions", "runtime.trace", "runtime.interpreter",
+            "runtime.replay",
             "props.patterns", "props.tracepreds", "props.spec",
         )],
         "once-and-for-all proofs": trusted,

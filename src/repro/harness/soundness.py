@@ -10,8 +10,9 @@ randomized differential oracle that
    driver (random well-typed messages from random components, random
    scheduling),
 2. checks the produced trace is accepted by the
-   :class:`~repro.symbolic.behabs.AbstractionChecker` (interpreter ⊆
-   abstraction), and
+   :class:`~repro.runtime.replay.AbstractionChecker` (interpreter ⊆
+   abstraction), a concrete replay that imports nothing from the
+   symbolic layer or the prover it stands behind, and
 3. checks every *proved* trace property holds on the produced trace (the
    end-to-end guarantee), using the independent concrete-trace semantics
    of :mod:`repro.props.tracepreds`.
@@ -30,8 +31,8 @@ from ..lang import types as ty
 from ..lang.values import VFd, VTuple, Value, vbool, vnum, vstr
 from ..props.spec import SpecifiedProgram
 from ..runtime.interpreter import Interpreter, KernelState
+from ..runtime.replay import AbstractionChecker, RejectedTrace
 from ..runtime.world import World
-from ..symbolic.behabs import AbstractionChecker, RejectedTrace
 from ..systems import BENCHMARKS
 
 #: Value pools for fuzzed payloads — small on purpose so collisions (same

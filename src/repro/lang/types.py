@@ -14,7 +14,7 @@ the symbolic evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 
 class Type:
@@ -186,14 +186,3 @@ def make_decl_table(decls: Iterable[object], kind: str) -> dict:
             raise ValidationError(f"duplicate {kind} declaration: {name}")
         table[name] = d
     return table
-
-
-def types_equal(a: Type, b: Type) -> bool:
-    """Structural type equality (dataclass equality already is structural;
-    this exists for call-site readability)."""
-    return a == b
-
-
-def common_payload(decl: MessageDecl, args: Sequence[object]) -> bool:
-    """Arity check helper used by both validators and pattern code."""
-    return len(args) == decl.arity

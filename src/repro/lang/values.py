@@ -146,15 +146,6 @@ def default_value(t: ty.Type) -> Value:
     raise RuntimeFault(f"type {t} has no default value")
 
 
-def values_equal(a: Value, b: Value) -> bool:
-    """Structural value equality as exposed to the DSL's ``==`` operator.
-
-    Comparing values of different types is a validation error upstream, so
-    here it simply yields ``False``.
-    """
-    return a == b
-
-
 def as_python(v: Value) -> object:
     """Unwrap a value into a plain Python object (for examples/logging)."""
     if isinstance(v, VStr):

@@ -28,7 +28,10 @@ A fully instrumented run enables the subsystems explicitly::
         verifier.verify_all()
     export.write_chrome_trace("t.json", sink.to_dict())
 
-The package does not load the exporters (:mod:`repro.obs.export`) or the
+The calls instrumented code makes, and the installed sink they feed, live
+in :mod:`repro.obs.core`, which imports nothing else from the package;
+code that only reports (the symbolic layer) imports the core alone.  The
+package does not load the exporters (:mod:`repro.obs.export`) or the
 time-series sampler (:mod:`repro.obs.timeseries`); import them directly.
 
 A run has one sink; nothing is exported or merged between sinks.  The
@@ -38,11 +41,8 @@ sink, with the group's submit ids as :attr:`Telemetry.tags`.  See
 contract, the event schema, and the ``repro report`` walkthrough.
 """
 
-from .events import Event, EventLog, read_jsonl
-from .metrics import Histogram, MetricsRegistry
-from .telemetry import (
+from .core import (
     Span,
-    Telemetry,
     active,
     event,
     flush_events,
@@ -53,6 +53,9 @@ from .telemetry import (
     span,
     use,
 )
+from .events import Event, EventLog, read_jsonl
+from .metrics import Histogram, MetricsRegistry
+from .telemetry import Telemetry
 from .trace import Tracer, TraceSpan, new_run_id
 
 __all__ = [

@@ -1,23 +1,15 @@
-"""The telemetry sink: the front door to the obs subsystem.
+"""The telemetry sink: one run's counters, spans and optional subsystems.
 
-Historically this module *was* the whole observability layer — named
-counters plus a flat list of timed spans.  It is now the front door to
-the real subsystem (:mod:`repro.obs.trace`, :mod:`repro.obs.metrics`,
-:mod:`repro.obs.events`): a :class:`Telemetry` still exposes
-``counters``/``spans``/``incr``/``record``/``to_dict``/``render``
-exactly as before, and optionally hosts a hierarchical
-:class:`~repro.obs.trace.Tracer`, a
+A :class:`Telemetry` accumulates named counters and timed spans, and
+optionally hosts a hierarchical :class:`~repro.obs.trace.Tracer`, a
 :class:`~repro.obs.metrics.MetricsRegistry` and an
-:class:`~repro.obs.events.EventLog` that the same instrumented call
-sites feed when enabled.
+:class:`~repro.obs.events.EventLog`.  Instrumented code reports
+through :mod:`repro.obs.core`, which feeds the sink
+:func:`repro.obs.core.use` installed; only the code that owns a sink
+(the CLI, the serve daemon) calls its methods directly.
 
 Design constraints, in order:
 
-* **cheap when off** — the hot call sites (``Facts.implies`` runs tens of
-  thousands of times per benchmark) go through :func:`incr`, which is a
-  single module-global read and a ``None`` check when no sink is
-  installed; :func:`observe`, :func:`gauge` and :func:`event` follow the
-  same fast path and additionally no-op when their component is off;
 * **bounded** — the raw span list is capped: per-name totals stay exact
   (maintained incrementally), but only the ``max_spans`` slowest raw
   spans are retained, so large runs cannot grow the sink without
@@ -27,7 +19,7 @@ Design constraints, in order:
   daemon records every verify group straight into its own sink, with
   the group's submit ids as :attr:`Telemetry.tags`;
 * **structured output** — :meth:`Telemetry.to_dict` is what
-  ``python -m repro verify --profile --json`` embeds (now with optional
+  ``python -m repro verify --profile --json`` embeds (with optional
   ``trace``/``metrics``/``events`` sections), and
   :meth:`Telemetry.render` is the human-readable block, largest
   contributors first.
@@ -44,12 +36,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .core import Span
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .trace import Tracer, new_run_id
@@ -59,29 +49,12 @@ from .trace import Tracer, new_run_id
 MAX_SPANS = 256
 
 
-@dataclass(frozen=True)
-class Span:
-    """One timed region: a name, elapsed seconds, sorted attributes."""
-
-    name: str
-    seconds: float
-    attrs: Tuple[Tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the span."""
-        return {
-            "name": self.name,
-            "seconds": round(self.seconds, 6),
-            "attrs": dict(self.attrs),
-        }
-
-
 class Telemetry:
     """A sink accumulating counters and spans for one run.
 
     With ``trace``/``metrics``/``events`` enabled the sink additionally
     hosts the corresponding subsystem component; all three default off,
-    so a plain ``Telemetry()`` behaves exactly as it always has.
+    so a plain ``Telemetry()`` keeps counters and spans only.
     """
 
     def __init__(self, *, trace: bool = False, metrics: bool = False,
@@ -199,103 +172,3 @@ class Telemetry:
         if len(lines) == 1:
             lines.append("  (no events recorded)")
         return "\n".join(lines)
-
-
-#: The installed sink (one per process).
-_ACTIVE: Optional[Telemetry] = None
-
-
-def active() -> Optional[Telemetry]:
-    """The currently installed sink, or ``None``."""
-    return _ACTIVE
-
-
-def metrics_active() -> Optional[MetricsRegistry]:
-    """The active sink's metrics registry, or ``None`` — the fast path
-    hot call sites check before paying for a clock read."""
-    sink = _ACTIVE
-    return None if sink is None else sink.metrics
-
-
-def incr(name: str, amount: int = 1) -> None:
-    """Count an event on the active sink; no-op when none is installed."""
-    sink = _ACTIVE
-    if sink is not None:
-        sink.counters[name] = sink.counters.get(name, 0) + amount
-
-
-def observe(name: str, value: float) -> None:
-    """Record a histogram observation; no-op unless the active sink has
-    metrics enabled."""
-    sink = _ACTIVE
-    if sink is not None and sink.metrics is not None:
-        sink.metrics.observe(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge; no-op unless the active sink has metrics enabled."""
-    sink = _ACTIVE
-    if sink is not None and sink.metrics is not None:
-        sink.metrics.gauge(name, value)
-
-
-def event(kind: str, /, **fields: object) -> None:
-    """Append a flight-recorder event; no-op unless the active sink has
-    an event log (``kind`` is positional-only, so events may carry a
-    ``kind`` field of their own)."""
-    sink = _ACTIVE
-    if sink is not None and sink.events is not None:
-        if sink.tags:
-            fields = {**sink.tags, **fields}
-        sink.events.emit(kind, **fields)
-
-
-def flush_events() -> int:
-    """Flush the active sink's event log to its bound JSONL file, if
-    any; returns how many events were written."""
-    sink = _ACTIVE
-    if sink is not None and sink.events is not None:
-        return sink.events.flush()
-    return 0
-
-
-@contextmanager
-def span(name: str, **attrs: object) -> Iterator[None]:
-    """Time the enclosed block as a span on the active sink.
-
-    When no sink is installed the block runs untimed at no cost.  The
-    sink is captured at entry, so a mid-block sink swap (a nested
-    :func:`use`) cannot split or lose the span; with tracing enabled the
-    span also lands in the hierarchical trace, parented on the context's
-    current span.
-    """
-    sink = _ACTIVE
-    if sink is None:
-        yield
-        return
-    if sink.tags:
-        attrs = {**sink.tags, **attrs}
-    frozen = tuple(sorted(
-        (key, str(value)) for key, value in attrs.items()
-    ))
-    tracer = sink.tracer
-    open_span = tracer.push(name, frozen) if tracer is not None else None
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        sink.record(Span(name, time.perf_counter() - start, frozen))
-        if tracer is not None:
-            tracer.pop(open_span)
-
-
-@contextmanager
-def use(sink: Telemetry) -> Iterator[Telemetry]:
-    """Install ``sink`` for the duration of the block (re-entrant)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = sink
-    try:
-        yield sink
-    finally:
-        _ACTIVE = previous

@@ -1,6 +1,6 @@
 """Hierarchical tracing: spans with identity, ancestry and a timeline.
 
-The flat :class:`~repro.obs.telemetry.Span` answers "how much time went
+The flat :class:`~repro.obs.core.Span` answers "how much time went
 into stage X overall"; this module answers the questions a slow or flaky
 run actually raises — *which* obligation was slowest, what was running
 *when*, and how the stages nest inside one another:

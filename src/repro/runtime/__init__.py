@@ -3,7 +3,9 @@
 This is the executable half of Figure 1: given a validated program, the
 :class:`~repro.runtime.interpreter.Interpreter` runs its event loop against
 a :class:`~repro.runtime.world.World` of simulated components and threads a
-ghost :class:`~repro.runtime.trace.Trace` of every observable action.
+ghost :class:`~repro.runtime.trace.Trace` of every observable action.  The
+:class:`~repro.runtime.replay.AbstractionChecker` is the figure's "sats"
+arrow: it replays a trace and accepts iff the abstraction predicts it.
 """
 
 from .actions import (
@@ -41,6 +43,7 @@ from .monitor import (
     TraceMonitor,
 )
 from .render import render_sequence
+from .replay import AbstractionChecker, RejectedTrace
 from .scheduler import KernelInstance, SoakScheduler
 from .supervisor import RestartPolicy, SupervisedInterpreter, Supervisor
 from .trace import Trace
@@ -79,6 +82,8 @@ __all__ = [
     "SamplingPolicy",
     "TraceMonitor",
     "render_sequence",
+    "AbstractionChecker",
+    "RejectedTrace",
     "KernelInstance",
     "SoakScheduler",
     "Trace",

@@ -136,10 +136,3 @@ KIND_OF = {
 def kind(action: Action) -> str:
     """The kind tag ("Select", "Recv", ...) of an action."""
     return KIND_OF[type(action)]
-
-
-def component_of(action: Action):
-    """The component an action concerns, or ``None`` for ``Call``."""
-    if isinstance(action, ACall):
-        return None
-    return action.comp

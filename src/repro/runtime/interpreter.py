@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..lang import ast
-from ..lang.errors import RuntimeFault
+from ..lang.errors import RuntimeFault, WorldError
 from ..lang.validate import ProgramInfo
 from ..lang.values import (
     ComponentInstance,
@@ -32,6 +32,7 @@ from ..lang.values import (
     VNum,
     VStr,
     VTuple,
+    type_of,
     vbool,
 )
 from .actions import ACall, ARecv, ASelect, ASend, ASpawn
@@ -169,6 +170,34 @@ def _has_negative_num(v: Value) -> bool:
     return False
 
 
+def message_complaint(info: ProgramInfo, comp: ComponentInstance, msg: str,
+                      payload: Tuple[Value, ...]) -> Optional[str]:
+    """Why the message ``msg(payload)`` from ``comp`` does not fit a
+    declared message type, or ``None`` when it fits: the type is declared,
+    and every payload slot has its declared type and holds no negative
+    number.
+
+    This models the kernel's message parser: a real kernel reading a
+    socket would fail to parse garbage and drop the connection.  The
+    interpreter rejects such a message, and the trace replay
+    (:mod:`repro.runtime.replay`) rejects a trace that receives one.
+    """
+    decl = info.msg_table.get(msg)
+    if decl is None:
+        return f"component {comp} sent undeclared message type {msg}"
+    if len(payload) != decl.arity:
+        return (f"component {comp} sent {msg} with {len(payload)} payload "
+                f"items, expected {decl.arity}")
+    for i, (v, t) in enumerate(zip(payload, decl.payload)):
+        if type_of(v) != t:
+            return (f"component {comp} sent {msg}: payload slot {i} has "
+                    f"type {type_of(v)}, expected {t}")
+        if _has_negative_num(v):
+            return (f"component {comp} sent {msg}: payload slot {i} holds "
+                    f"a negative number (num is a natural type)")
+    return None
+
+
 def _config_field(comp: ComponentInstance, field_name: str,
                   state: KernelState) -> Value:
     decl = state.comp_decls.get(comp.ctype)
@@ -255,36 +284,11 @@ class Interpreter:
 
     def _check_message_shape(self, comp: ComponentInstance, msg: str,
                              payload: Tuple[Value, ...]) -> None:
-        """Reject messages that do not fit a declared message type.
-
-        This models the kernel's message parser: a real kernel reading a
-        socket would fail to parse garbage and drop the connection.  Our
-        simulated components are expected to speak the declared protocol.
-        """
-        from ..lang.errors import WorldError
-        from ..lang.values import type_of
-
-        decl = self.info.msg_table.get(msg)
-        if decl is None:
-            raise WorldError(
-                f"component {comp} sent undeclared message type {msg}"
-            )
-        if len(payload) != decl.arity:
-            raise WorldError(
-                f"component {comp} sent {msg} with {len(payload)} payload "
-                f"items, expected {decl.arity}"
-            )
-        for i, (v, t) in enumerate(zip(payload, decl.payload)):
-            if type_of(v) != t:
-                raise WorldError(
-                    f"component {comp} sent {msg}: payload slot {i} has "
-                    f"type {type_of(v)}, expected {t}"
-                )
-            if _has_negative_num(v):
-                raise WorldError(
-                    f"component {comp} sent {msg}: payload slot {i} holds "
-                    f"a negative number (num is a natural type)"
-                )
+        """Reject messages that do not fit a declared message type (see
+        :func:`message_complaint`)."""
+        complaint = message_complaint(self.info, comp, msg, payload)
+        if complaint is not None:
+            raise WorldError(complaint)
 
     # -- command execution (paper's run_cmd) ----------------------------------
 

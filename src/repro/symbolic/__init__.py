@@ -8,11 +8,9 @@ simplify/DNF/solver paths are memoized behind the one switch in
 """
 
 from .behabs import (
-    AbstractionChecker,
     Exchange,
     GenericStep,
     InitSummary,
-    RejectedTrace,
     generic_step,
     init_summary,
 )
@@ -55,11 +53,9 @@ from .templates import (
 from .unify import SymMatch, match_comp_term, match_template
 
 __all__ = [
-    "AbstractionChecker",
     "Exchange",
     "GenericStep",
     "InitSummary",
-    "RejectedTrace",
     "generic_step",
     "init_summary",
     "FreshNames",

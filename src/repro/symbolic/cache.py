@@ -10,9 +10,11 @@ Four caches sit on the prover's hot path, all keyed on interned terms
 * the solver prefix cache in the same module (built ``Facts`` states
   keyed on the asserted-literal sequence).
 
-This module owns their one *enabled* flag (``ProverOptions.term_cache``
-and the CLI's ``--no-term-cache`` flow through here), their LRU bounds,
-and the introspection helpers the CLI folds into ``--profile`` output.
+This module owns their one *enabled* flag, their LRU bounds, and the
+introspection helpers the CLI folds into ``--profile`` output.  The flag
+has one way in: ``ProverOptions.term_cache`` (the CLI's
+``--no-term-cache``), which ``Verifier.prove_property`` applies with
+:func:`scope` around every property.
 Caching is *semantically invisible*: the differential tests assert
 byte-identical verdicts, derivations and derivation keys with caches on
 and off.
@@ -44,22 +46,18 @@ def enabled() -> bool:
     return _ENABLED
 
 
-def set_enabled(value: bool) -> None:
-    """Set the process-wide caching switch."""
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
 @contextmanager
 def scope(value: bool) -> Iterator[None]:
     """Run a block with caching forced on or off, restoring the previous
-    setting afterwards (used by ``Verifier.prove_property``)."""
+    setting afterwards (``Verifier.prove_property`` enters one scope per
+    property with ``ProverOptions.term_cache``)."""
+    global _ENABLED
     previous = _ENABLED
-    set_enabled(value)
+    _ENABLED = bool(value)
     try:
         yield
     finally:
-        set_enabled(previous)
+        _ENABLED = previous
 
 
 def clear_all() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import obs
+from ..obs import core as obs
 from ..lang import ast
 from ..lang.errors import SymbolicError
 from ..lang.validate import CALL_RESULT_TYPE, ProgramInfo

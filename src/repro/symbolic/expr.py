@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
-from .. import obs
+from ..obs import core as obs
 from ..lang import types as ty
 from ..lang.errors import SymbolicError
 from ..lang.values import Value, VBool, VNum, VStr, VTuple

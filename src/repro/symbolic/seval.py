@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs
+from ..obs import core as obs
 from ..lang import ast
 from ..lang.errors import SymbolicError
 from ..lang.validate import CALL_RESULT_TYPE, ProgramInfo

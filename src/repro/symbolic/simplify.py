@@ -34,7 +34,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs
+from ..obs import core as obs
 from ..lang import types as ty
 from ..lang.errors import SymbolicError
 from ..lang.values import VBool, VNum, VStr, VTuple
@@ -435,13 +435,6 @@ def _simplify_bool(op: str, args: Tuple[Term, ...]) -> Term:
 
 #: A conjunction of literals (each an atom or its negation).
 Cube = Tuple[Term, ...]
-
-
-def is_atom(t: Term) -> bool:
-    """Atoms: equalities, comparisons, and bare boolean terms."""
-    if isinstance(t, SOp):
-        return t.op in ("eq", "lt", "le")
-    return True  # boolean variables / projections
 
 
 def dnf(t: Term) -> List[Cube]:

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .. import obs
+from ..obs import core as obs
 from ..lang import types as ty
 from ..lang.values import VNum
 from . import cache as _cache

@@ -1,23 +1,24 @@
 """Tests for the behavioral abstraction: init summary, generic step, and
 the trace-acceptance checker (the executable "sats" arrow)."""
 
+import random
+
 import pytest
 
+from repro.harness.soundness import fuzz_session, random_value
 from repro.lang import STR
+from repro.lang import types as ty
 from repro.lang.builder import (
     ProgramBuilder, call, lit, spawn,
 )
-from repro.lang.values import VBool, VStr
+from repro.lang.values import VBool, VNum, VStr
 from repro.runtime import Interpreter, ScriptedBehavior, Trace, World
-from repro.runtime.actions import ARecv, ASelect, ASend
-from repro.symbolic.behabs import (
-    AbstractionChecker,
-    RejectedTrace,
-    generic_step,
-    init_summary,
-)
+from repro.runtime.actions import ACall, ARecv, ASelect, ASend
+from repro.runtime.replay import AbstractionChecker, RejectedTrace
+from repro.symbolic.behabs import generic_step, init_summary
 from repro.symbolic.expr import FreshNames, SComp, SConst, STuple, SVar
 from repro.symbolic.templates import TCall, TSpawn
+from repro.systems import BENCHMARKS
 from tests.conftest import build_ssh_program
 
 
@@ -145,3 +146,52 @@ class TestAbstractionChecker:
     def test_empty_trace_rejected_when_init_spawns(self):
         info, _ = self.drive()
         assert not AbstractionChecker(info).accepts(Trace())
+
+    def test_rejects_a_call_result_that_is_not_a_string(self):
+        b = ProgramBuilder("c")
+        b.component("A", "a.py")
+        b.message("M", STR)
+        b.init(spawn("X", "A"), call("tok", "gen", lit("s")))
+        info = b.build_validated()
+        actions = list(Interpreter(info, World()).run_init()
+                       .trace.chronological())
+        assert AbstractionChecker(info).accepts(Trace(actions))
+        made = actions[-1]
+        actions[-1] = ACall(made.func, made.args, VNum(5))
+        with pytest.raises(RejectedTrace, match="Call result of type num"):
+            AbstractionChecker(info).check(Trace(actions))
+
+    @pytest.mark.parametrize("kernel", sorted(BENCHMARKS))
+    def test_rejects_every_ill_shaped_slot_of_a_handled_message(
+            self, kernel):
+        """One forged exchange per handled (component, message, slot) of a
+        fuzzed run: a wrong-typed value, and -1 in a ``num`` slot."""
+        session = fuzz_session(kernel, seed=0, events=5)
+        info = session.spec.info
+        checker = AbstractionChecker(info)
+        actions = list(session.state.trace.chronological())
+        assert checker.accepts(Trace(actions))
+        rng = random.Random(0)
+        forged = 0
+        for handler in info.program.handlers:
+            comp = next((c for c in session.state.comps
+                         if c.ctype == handler.ctype), None)
+            if comp is None:
+                continue
+            types = info.msg_table[handler.msg].payload
+            for slot, t in enumerate(types):
+                if isinstance(t, ty.NumType):
+                    bad = {VStr("x"): f"slot {slot} has type str",
+                           VNum(-1): f"slot {slot} holds a negative number"}
+                else:
+                    bad = {VNum(1): f"slot {slot} has type num"}
+                for value, reason in bad.items():
+                    payload = [random_value(u, rng) for u in types]
+                    payload[slot] = value
+                    exchange = [ASelect(comp),
+                                ARecv(comp, handler.msg, tuple(payload))]
+                    with pytest.raises(RejectedTrace,
+                                       match=f"malformed message.*{reason}"):
+                        checker.check(Trace(actions + exchange))
+                    forged += 1
+        assert forged

@@ -4,7 +4,7 @@ determinism, call results, and handler-local bindings."""
 from repro.lang.values import VStr, vstr
 from repro.runtime import Interpreter, RecordingBehavior, Trace, World
 from repro.runtime.actions import ACall, ASend
-from repro.symbolic.behabs import AbstractionChecker
+from repro.runtime.replay import AbstractionChecker
 from tests.conftest import build_registry_program
 
 

@@ -63,7 +63,7 @@ class TestMissingBranchCondition:
 
     def test_half_match_takes_missing_branch_and_is_accepted(self):
         """Concrete confirmation plus the trace-inclusion oracle."""
-        from repro.symbolic.behabs import AbstractionChecker
+        from repro.runtime.replay import AbstractionChecker
 
         info = conjunctive_lookup_program()
         world = World()
