@@ -2,9 +2,8 @@
 
 Repeated ``verify_all`` runs (a fresh :class:`Verifier` per iteration,
 mirroring incremental re-verification) on the two deepest kernels, in
-two configurations that differ only in ``term_cache``.  Both build the
-step with the interpreting executor (``compile_plans=False``), so the
-ratio measures the caches, not the executor:
+two configurations that differ only in ``term_cache``, so the ratio
+measures the caches:
 
 * **uncached** — term caches off: every round re-simplifies, re-queries
   the solver and folds every ``Facts`` state from scratch;
@@ -13,11 +12,9 @@ ratio measures the caches, not the executor:
 
 Full mode asserts the ≥1.5× cached-over-uncached speedup the caching
 layer is sold on; quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke job)
-only asserts the layer does not make verification slower.  The
-compiled executor is measured against the interpreter by
-``benchmarks/test_compiled_plans.py``.  Timings and speedups land in
-``benchmarks/results/symbolic_caching.json`` and a rendered table beside
-it.
+only asserts the layer does not make verification slower.  Timings
+and speedups land in ``benchmarks/results/symbolic_caching.json`` and
+a rendered table beside it.
 """
 
 import json
@@ -37,8 +34,8 @@ ROUNDS = 3 if QUICK else 7
 REQUIRED_CACHE_SPEEDUP = 1.0 if QUICK else 1.5
 
 CONFIGS = (
-    ("uncached", dict(term_cache=False, compile_plans=False)),
-    ("baseline", dict(term_cache=True, compile_plans=False)),
+    ("uncached", dict(term_cache=False)),
+    ("baseline", dict(term_cache=True)),
 )
 
 

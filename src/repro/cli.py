@@ -89,7 +89,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         syntactic_skip=not args.no_skip,
         check_proofs=not args.no_check,
         term_cache=not args.no_term_cache,
-        compile_plans=not args.no_compile,
         proof_store=args.store,
     )
     verifier = Verifier(spec, options)
@@ -527,11 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the simplify and DNF memos and the "
                              "solver query and prefix caches (terms are "
                              "still interned)")
-    verify.add_argument("--no-compile", action="store_true",
-                        help="build the symbolic step with the "
-                             "interpreting executor (escape hatch — "
-                             "verdicts and derivations are identical "
-                             "either way)")
     verify.add_argument("-c", "--counterexample", action="store_true",
                         help="print candidate counterexamples on failure")
     verify.add_argument("-e", "--explain", action="store_true",

@@ -20,8 +20,7 @@ modules under the corresponding roles.  The mapping:
 * *once-and-for-all proofs* → the trusted core: every ``repro.symbolic``
   and ``repro.prover`` module in the checker's module-level import
   closure (:func:`import_closure`, the same closure the trust-line test
-  pins), plus ``repro.symbolic.compile``, which builds every step the
-  checker replays,
+  pins),
 * *non-interference infrastructure* → ``repro.prover.ni``,
 * *tactics* → the untrusted search (invariants, tactics, engine), and
   any of obligations and derivations the closure does not hold,
@@ -127,13 +126,9 @@ def import_closure(root: str = CHECKER) -> Dict[str, Path]:
 
 def trusted_core() -> List[str]:
     """The modules of the once-and-for-all row: the checker's closure
-    within ``repro.symbolic`` and ``repro.prover``, plus
-    ``repro.symbolic.compile`` — ``Verifier._build_step`` builds every
-    step the checker replays with it, so it is trusted until the step is
-    built without it."""
-    closure = [name for name in import_closure()
-               if name.startswith(("repro.symbolic.", "repro.prover."))]
-    return sorted({*closure, "repro.symbolic.compile"})
+    within ``repro.symbolic`` and ``repro.prover``."""
+    return [name for name in import_closure()
+            if name.startswith(("repro.symbolic.", "repro.prover."))]
 
 
 def _module_loc(module: str) -> int:

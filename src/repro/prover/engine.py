@@ -54,7 +54,6 @@ from ..props.spec import (
     TraceProperty,
 )
 from ..symbolic import cache as symcache
-from ..symbolic import compile as symcompile
 from ..symbolic.behabs import GenericStep, generic_step
 from .checker import (
     Labeling,
@@ -113,7 +112,8 @@ class ProverOptions:
     """Switches for the section-6.4 optimizations plus proof checking.
 
     ``proof_store`` names a directory for the persistent content-addressed
-    proof cache; ``None`` (the default) disables it.
+    proof cache; ``None`` (the default) disables it.  The per-verification
+    key table is not an optimisation switch: it runs either way.
     """
 
     syntactic_skip: bool = True
@@ -125,15 +125,6 @@ class ProverOptions:
     #: docs/performance.md); semantically invisible, so it does not
     #: shape obligation keys
     term_cache: bool = True
-    #: build the symbolic step with the closure-compiled executor of
-    #: :mod:`repro.symbolic.compile` instead of the interpreting one.
-    #: Semantically invisible — verdicts, derivations and obligation
-    #: keys are bit-for-bit identical with it off (``--no-compile`` on
-    #: the CLI, asserted by the compile differential tests) — so it
-    #: does not shape obligation keys.
-    #: (The per-verification key table is not an optimisation switch:
-    #: it runs either way.)
-    compile_plans: bool = True
     proof_store: Optional[str] = None
     #: absolute ``time.monotonic()`` deadline for the whole run, checked
     #: before every property, every NI obligation and every store-backed
@@ -182,10 +173,10 @@ class PropertyResult:
     def derivation_key(self) -> Optional[str]:
         """Content address of the derivation (``None`` for failures).
 
-        Identical across cold/warm-store and compiled/interpreted runs —
-        the differential tests assert exactly that.  Rendered once per
-        proof: a daemon verdict asks for it once per waiter and once
-        more for the degraded-answer cache.
+        Identical across runs without a store and cold- and warm-store
+        runs — the differential tests assert exactly that.  Rendered
+        once per proof: a daemon verdict asks for it once per waiter and
+        once more for the degraded-answer cache.
         """
         if self.proof is None:
             return None
@@ -436,8 +427,7 @@ class Verifier:
 
     def generic_step(self) -> GenericStep:
         """The symbolic inductive step (memoized per section 6.4): built
-        once per ``Verifier`` under the ``step.build`` span, by the
-        compiled executor with ``compile_plans``."""
+        once per ``Verifier`` under the ``step.build`` span."""
         if self.options.memoize_step:
             if self._step_cache is None:
                 with obs.span("step.build", program=self.spec.name):
@@ -446,8 +436,6 @@ class Verifier:
         return self._build_step()
 
     def _build_step(self) -> GenericStep:
-        if self.options.compile_plans:
-            return symcompile.CompiledPlan().step_for(self.spec.info)
         return generic_step(self.spec.info)
 
     def program_digest(self) -> str:

@@ -266,8 +266,8 @@ def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
 def derivation_key(proof: object) -> str:
     """The content address of a derivation (any proof object).
 
-    Bitwise-identical derivations — across cold/warm-store and
-    compiled/interpreted runs — have identical keys; the differential
+    Bitwise-identical derivations — across runs without a store and
+    cold- and warm-store runs — have identical keys; the differential
     tests assert exactly that.
     """
     return digest(proof)

@@ -2,8 +2,8 @@
 
 The paper's pitch is that reactive-system proofs are cheap enough to
 live inside the development loop; this package keeps them *warm* there.
-A long-running server process holds the intern table, the compiled proof
-plans and the content-addressed proof store across thousands of
+A long-running server process holds the intern table, the term memos
+and the content-addressed proof store across thousands of
 edit–verify iterations, so an IDE fleet's re-verifications hit a hot
 process instead of paying cold start every time.
 

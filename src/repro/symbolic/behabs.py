@@ -168,8 +168,7 @@ def arbitrary_pre_env(info: ProgramInfo, init: InitSummary,
 
 
 def generic_step(info: ProgramInfo,
-                 fresh: Optional[FreshNames] = None,
-                 executor=None) -> GenericStep:
+                 fresh: Optional[FreshNames] = None) -> GenericStep:
     """Build the inductive step for ``info``.
 
     Deterministic, and *locally* so: the Init summary, the pre-state
@@ -178,10 +177,9 @@ def generic_step(info: ProgramInfo,
     unchanged — so a stored fragment of an unedited exchange still
     revalidates against the edited program's step.
 
-    ``executor`` selects the symbolic evaluator for handler bodies
-    (``sym_exec``-compatible); the default walks the AST, while
-    :func:`repro.symbolic.compile.compiled_executor` runs pre-compiled
-    step programs.  Both produce identical terms in identical order.
+    Every handler body is evaluated by :func:`repro.symbolic.seval.sym_exec`,
+    inside the checker's import closure: the step the checker replays
+    is built by trusted code alone.
     """
     init = init_summary(info, fresh or FreshNames("init:"))
     pre_env = arbitrary_pre_env(info, init, FreshNames("pre:"))
@@ -190,7 +188,6 @@ def generic_step(info: ProgramInfo,
         exchanges.append(build_exchange(
             info, ctype, msg, pre_env, init.comps,
             FreshNames(f"{ctype}.{msg}:"),
-            executor=executor,
         ))
     return GenericStep(
         info=info,
@@ -202,7 +199,7 @@ def generic_step(info: ProgramInfo,
 
 def build_exchange(info: ProgramInfo, ctype: str, msg: str,
                    pre_env: Dict[str, Term], known: Tuple[SComp, ...],
-                   fresh: FreshNames, executor=None) -> Exchange:
+                   fresh: FreshNames) -> Exchange:
     """Symbolically evaluate one (component type, message type) exchange."""
     decl = info.comp_table[ctype]
     msg_decl = info.msg_table[msg]
@@ -235,8 +232,7 @@ def build_exchange(info: ProgramInfo, ctype: str, msg: str,
         TSelect(sender),
         TRecv(sender, msg, payload),
     )
-    run = executor if executor is not None else sym_exec
-    paths = run(
+    paths = sym_exec(
         info, body, pre_env, params, sender, known, fresh,
         base_actions=boundary,
     )

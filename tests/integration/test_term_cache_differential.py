@@ -47,9 +47,9 @@ def _cache_counters(options):
 
 
 def test_term_cache_is_the_one_memo_switch():
-    """``term_cache`` switches all four memos; ``compile_plans`` switches
-    only the executor, so the prefix cache runs without it."""
-    interpreted = _cache_counters(ProverOptions(compile_plans=False))
-    assert interpreted.get("solver.prefix.hit", 0) \
-        + interpreted.get("solver.prefix.miss", 0) > 0
+    """``term_cache`` switches all four memos, the prefix cache among
+    them."""
+    cached = _cache_counters(ProverOptions())
+    assert cached.get("solver.prefix.hit", 0) \
+        + cached.get("solver.prefix.miss", 0) > 0
     assert _cache_counters(ProverOptions(term_cache=False)) == {}

@@ -10,7 +10,6 @@ from repro.props import (
     specify,
 )
 from repro.prover import ProverOptions, Verifier, engine, prove, verify
-from repro.symbolic import compile as symcompile
 from repro.systems import BENCHMARKS
 
 
@@ -110,10 +109,8 @@ class TestObservedRunsTakeTheSamePath:
         for name in self.SEARCHES:
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
-        monkeypatch.setattr(
-            symcompile.CompiledPlan, "step_for",
-            counted("step_for", symcompile.CompiledPlan.step_for),
-        )
+        monkeypatch.setattr(engine, "generic_step",
+                            counted("generic_step", engine.generic_step))
         spec = BENCHMARKS["browser"].load()
 
         def run():
@@ -125,8 +122,8 @@ class TestObservedRunsTakeTheSamePath:
         second = run()
         with obs.use(obs.Telemetry()):
             observed = run()
-        assert set(first) == set(self.SEARCHES) | {"step_for"}
-        assert first["step_for"] == 1
+        assert set(first) == set(self.SEARCHES) | {"generic_step"}
+        assert first["generic_step"] == 1
         assert second == first
         assert observed == first
 

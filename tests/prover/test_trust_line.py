@@ -11,6 +11,9 @@ nothing in ``repro.prover`` hides an import of the checker or of the
 search inside a function.  Two modules outside the line are held apart
 from it too: the trace replay, the soundness oracle's reference, imports
 no symbolic or prover module, and the obs core imports nothing at all.
+The step the checker replays is built inside the line: the one module
+outside it that could build a step, ``repro.symbolic.compile``, is a
+dead name that nothing imports and no verification calls.
 """
 
 import ast
@@ -18,10 +21,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.harness.effort import CHECKER, import_closure
-from repro.prover import invariants
+from repro.prover import Verifier, invariants
 from repro.prover.checker import validate_invariant
 from repro.prover.derivation import CaseEstablished, CaseInfeasible
+from repro.symbolic import compile as symcompile
 from repro.symbolic.behabs import generic_step
+from repro.systems import BENCHMARKS
 from tests.conftest import build_ssh_program
 from tests.prover.test_invariants import auth_invariant_spec
 
@@ -65,7 +70,8 @@ LINES_BEFORE = 7_000
 #: The runtime modules the property language is stated over.
 RUNTIME_KEPT = frozenset({"repro.runtime.actions", "repro.runtime.trace"})
 
-PROVER = Path(__file__).resolve().parents[2] / "src" / "repro" / "prover"
+SRC = Path(__file__).resolve().parents[2] / "src"
+PROVER = SRC / "repro" / "prover"
 
 
 def test_the_closure_stays_inside_the_allowlist():
@@ -154,3 +160,37 @@ def test_an_invariant_rejection_never_searches(monkeypatch):
     ctype, msg = key
     assert any(f"{ctype}=>{msg} path {path_index}" in complaint
                for complaint in complaints), complaints
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module an import statement of ``path`` names, at any scope,
+    with relative imports resolved."""
+    package = path.relative_to(SRC).parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            anchor = list(package[:len(package) + 1 - node.level]) \
+                if node.level else []
+            base = ".".join(anchor + ([node.module] if node.module else []))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_nothing_in_the_package_imports_the_compile_stub():
+    importers = sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        if "repro.symbolic.compile" in _imported_modules(path))
+    assert not importers, f"modules importing the dead stub: {importers}"
+
+
+def test_the_replayed_step_is_built_inside_the_closure(monkeypatch):
+    def outside(*args, **kwargs):
+        raise AssertionError("a step was built outside the closure")
+
+    monkeypatch.setattr(symcompile.CompiledPlan, "step_for", outside)
+    report = Verifier(BENCHMARKS["car"].load()).verify_all()
+    assert report.results and report.all_proved
